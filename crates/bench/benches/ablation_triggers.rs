@@ -2,9 +2,9 @@
 //! time-based interval (§7 defaults: 100 jobs / 120 s) and report their effect
 //! on mean completion time and fidelity.
 
-use qonductor_bench::{banner, simulation_config};
-use qonductor_cloudsim::{CloudSimulation, Policy};
-use qonductor_scheduler::Preference;
+use qonductor_bench::{banner, paper_scenario};
+use qonductor_cloudsim::{default_fleet, run, Placement};
+use qonductor_scheduler::ScheduleTrigger;
 
 fn main() {
     banner(
@@ -18,11 +18,9 @@ fn main() {
     for &(queue_limit, interval_s) in
         &[(25usize, 60.0f64), (100, 120.0), (200, 240.0), (400, 480.0)]
     {
-        let mut config =
-            simulation_config(Policy::Qonductor { preference: Preference::balanced() }, 1500.0, 61);
-        config.trigger_queue_limit = queue_limit;
-        config.trigger_interval_s = interval_s;
-        let report = CloudSimulation::with_default_fleet(config).run();
+        let mut scenario = paper_scenario(default_fleet(61), Placement::Qonductor, 1500.0, 61);
+        scenario.trigger = ScheduleTrigger::new(queue_limit, interval_s);
+        let report = run(&scenario, None);
         println!(
             "{:>12} {:>12.0} {:>10} {:>14.1} {:>14.3} {:>12.2}",
             queue_limit,

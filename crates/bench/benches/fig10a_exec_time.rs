@@ -1,21 +1,15 @@
 //! Figure 10(a) — Mean execution time of the scheduled quantum jobs per
 //! scheduling cycle: Pareto-front extremes vs the chosen solution.
 
-use qonductor_bench::{banner, mean, pct, simulation_config};
-use qonductor_cloudsim::{CloudSimulation, Policy};
-use qonductor_scheduler::Preference;
+use qonductor_bench::{banner, mean, paper_scenario, pct};
+use qonductor_cloudsim::{default_fleet, run, Placement};
 
 fn main() {
     banner(
         "Figure 10(a)",
         "Mean execution time of scheduled jobs per cycle (1500 j/h, balanced weights)",
     );
-    let report = CloudSimulation::with_default_fleet(simulation_config(
-        Policy::Qonductor { preference: Preference::balanced() },
-        1500.0,
-        41,
-    ))
-    .run();
+    let report = run(&paper_scenario(default_fleet(41), Placement::Qonductor, 1500.0, 41), None);
 
     println!("{:>6} {:>14} {:>14} {:>14}", "cycle", "min front [s]", "max front [s]", "chosen [s]");
     for (i, c) in report.cycles.iter().enumerate() {

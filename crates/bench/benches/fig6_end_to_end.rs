@@ -2,12 +2,11 @@
 //! at 1500 applications/hour: (a) mean fidelity, (b) mean completion time,
 //! (c) mean QPU utilization.
 
-use qonductor_bench::{banner, pct, simulation_config};
-use qonductor_cloudsim::{CloudSimulation, Policy, SimulationReport};
-use qonductor_scheduler::Preference;
+use qonductor_bench::{banner, paper_scenario, pct};
+use qonductor_cloudsim::{default_fleet, run, Placement, Report};
 
-fn run(policy: Policy) -> SimulationReport {
-    CloudSimulation::with_default_fleet(simulation_config(policy, 1500.0, 99)).run()
+fn simulate(placement: Placement) -> Report {
+    run(&paper_scenario(default_fleet(99), placement, 1500.0, 99), None)
 }
 
 fn main() {
@@ -15,8 +14,8 @@ fn main() {
         "Figure 6",
         "End-to-end fidelity / completion time / utilization, Qonductor vs FCFS (1500 apps/h)",
     );
-    let qonductor = run(Policy::Qonductor { preference: Preference::balanced() });
-    let fcfs = run(Policy::Fcfs);
+    let qonductor = simulate(Placement::Qonductor);
+    let fcfs = simulate(Placement::Fcfs);
 
     println!("-- (a)+(b)+(c) time series [t, mean fidelity, mean JCT (s), utilization] --");
     println!(

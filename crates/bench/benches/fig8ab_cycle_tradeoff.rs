@@ -2,21 +2,15 @@
 //! jobs: minimum/maximum Pareto-front values, the chosen (balanced) solution's
 //! mean, and its 95th percentile, at 1500 jobs/hour.
 
-use qonductor_bench::{banner, mean, pct, simulation_config};
-use qonductor_cloudsim::{CloudSimulation, Policy};
-use qonductor_scheduler::Preference;
+use qonductor_bench::{banner, mean, paper_scenario, pct};
+use qonductor_cloudsim::{default_fleet, run, Placement};
 
 fn main() {
     banner(
         "Figure 8(a)/(b)",
         "Per-cycle JCT and fidelity: Pareto extremes vs chosen solution (1500 j/h, balanced weights)",
     );
-    let report = CloudSimulation::with_default_fleet(simulation_config(
-        Policy::Qonductor { preference: Preference::balanced() },
-        1500.0,
-        31,
-    ))
-    .run();
+    let report = run(&paper_scenario(default_fleet(31), Placement::Qonductor, 1500.0, 31), None);
 
     println!("-- (a) JCT of scheduled jobs [s] --");
     println!(

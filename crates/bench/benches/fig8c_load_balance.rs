@@ -1,21 +1,15 @@
 //! Figure 8(c) — QPU load (total active runtime) per device for workloads of
 //! 1500, 3000, and 4500 jobs/hour under the Qonductor scheduler.
 
-use qonductor_bench::{banner, pct, simulation_config};
-use qonductor_cloudsim::{CloudSimulation, Policy};
-use qonductor_scheduler::Preference;
+use qonductor_bench::{banner, paper_scenario, pct};
+use qonductor_cloudsim::{default_fleet, run, Placement};
 
 fn main() {
     banner("Figure 8(c)", "QPU load as total active runtime for increasing workloads");
     let rates = [1500.0, 3000.0, 4500.0];
     let mut per_rate = Vec::new();
     for &rate in &rates {
-        let report = CloudSimulation::with_default_fleet(simulation_config(
-            Policy::Qonductor { preference: Preference::balanced() },
-            rate,
-            57,
-        ))
-        .run();
+        let report = run(&paper_scenario(default_fleet(57), Placement::Qonductor, rate, 57), None);
         per_rate.push(report);
     }
 

@@ -2,9 +2,8 @@
 //! (1500 jobs/hour, Qonductor scheduler).
 
 use qonductor_backend::Fleet;
-use qonductor_bench::{banner, pct, simulation_config};
-use qonductor_cloudsim::{CloudSimulation, Policy};
-use qonductor_scheduler::Preference;
+use qonductor_bench::{banner, paper_scenario, pct};
+use qonductor_cloudsim::{run, Placement};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -13,11 +12,9 @@ fn main() {
     let sizes = [4usize, 8, 16];
     let mut results = Vec::new();
     for &n in &sizes {
-        let config =
-            simulation_config(Policy::Qonductor { preference: Preference::balanced() }, 1500.0, 71);
         let mut rng = StdRng::seed_from_u64(71 ^ n as u64);
         let fleet = Fleet::scaled(n, &mut rng);
-        let report = CloudSimulation::new(config, fleet).run();
+        let report = run(&paper_scenario(fleet, Placement::Qonductor, 1500.0, 71), None);
         results.push((n, report));
     }
 

@@ -1,23 +1,15 @@
 //! Figure 9(b) — Scheduler pending-queue size over time as the workload scales
 //! from 1500 to 3000 to 4500 jobs/hour.
 
-use qonductor_bench::{banner, simulation_config};
-use qonductor_cloudsim::{CloudSimulation, Policy};
-use qonductor_scheduler::Preference;
+use qonductor_bench::{banner, paper_scenario};
+use qonductor_cloudsim::{default_fleet, run, Placement};
 
 fn main() {
     banner("Figure 9(b)", "Scheduler queue size vs workload (1500 / 3000 / 4500 j/h)");
     let rates = [1500.0, 3000.0, 4500.0];
     let reports: Vec<_> = rates
         .iter()
-        .map(|&rate| {
-            CloudSimulation::with_default_fleet(simulation_config(
-                Policy::Qonductor { preference: Preference::balanced() },
-                rate,
-                83,
-            ))
-            .run()
-        })
+        .map(|&rate| run(&paper_scenario(default_fleet(83), Placement::Qonductor, rate, 83), None))
         .collect();
 
     print!("{:>8}", "t [s]");

@@ -10,8 +10,9 @@
 //! The experiment-to-target mapping is listed in `DESIGN.md` (§5) and the
 //! measured-vs-paper numbers are recorded in `EXPERIMENTS.md`.
 
-use qonductor_cloudsim::{ArrivalConfig, Policy, SimulationConfig};
-use qonductor_scheduler::{JobRequest, Nsga2Config, Preference, QpuState};
+use qonductor_backend::Fleet;
+use qonductor_cloudsim::{ArrivalConfig, Placement, Scenario};
+use qonductor_scheduler::{JobRequest, Preference, QpuState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,28 +34,21 @@ pub fn bench_scale() -> f64 {
         .unwrap_or(0.25)
 }
 
-/// The cloud-simulation configuration used by the end-to-end figures
-/// (one simulated hour at `rate` jobs/hour, scaled by [`bench_scale`]).
-pub fn simulation_config(policy: Policy, rate_per_hour: f64, seed: u64) -> SimulationConfig {
-    let scale = bench_scale();
-    SimulationConfig {
-        duration_s: 3600.0 * scale,
-        step_s: 10.0,
-        arrival: ArrivalConfig { mean_rate_per_hour: rate_per_hour, ..Default::default() },
-        policy,
-        trigger_queue_limit: 100,
-        trigger_interval_s: 120.0,
-        metrics_interval_s: 60.0,
-        nsga2: Nsga2Config {
-            population_size: 40,
-            max_generations: 40,
-            max_evaluations: 8000,
-            num_threads: 4,
-            ..Nsga2Config::default()
-        },
-        seed,
-        ..Default::default()
-    }
+/// The cloud-simulation scenario of the end-to-end figures: one simulated
+/// hour (scaled by [`bench_scale`]) of diurnal arrivals at `rate_per_hour`
+/// from one unthrottled tenant on `fleet`, half of them mitigated, at the
+/// paper's 100-job / 120 s trigger.
+pub fn paper_scenario(
+    fleet: Fleet,
+    placement: Placement,
+    rate_per_hour: f64,
+    seed: u64,
+) -> Scenario {
+    let arrival = ArrivalConfig { mean_rate_per_hour: rate_per_hour, ..Default::default() };
+    let mut scenario = Scenario::paper(fleet, arrival, 0.5, 3600.0 * bench_scale(), seed);
+    scenario.placement = placement;
+    scenario.scheduler.nsga2.max_evaluations = 8000;
+    scenario
 }
 
 /// Generate a synthetic batch of scheduling jobs and QPU states (used by the

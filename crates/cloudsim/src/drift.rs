@@ -6,37 +6,44 @@
 //! baseline (stale estimates dispatch regardless) — and compare the realized
 //! fidelity-estimation error and the re-plan overhead.
 
-use crate::sim::{CloudSimulation, Policy, SimulationConfig, SimulationReport};
+use crate::load::ArrivalConfig;
+use crate::sim::{default_fleet, run, Report, Scenario};
 use qonductor_core::jobmanager::CalibrationPolicy;
-use qonductor_scheduler::{Nsga2Config, Preference};
-use serde::{Deserialize, Serialize};
+use qonductor_scheduler::{Nsga2Config, ScheduleTrigger, SchedulerConfig};
 
 /// Configuration of the drift scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
-    /// The shared simulation configuration (policy must be Qonductor; the
-    /// `calibration` field is overridden per arm of the comparison).
-    pub base: SimulationConfig,
+    /// Simulated duration (seconds).
+    pub duration_s: f64,
     /// Seconds between recalibration boundaries — shortened well below the
     /// hourly default so calibrations genuinely change mid-run.
     pub calibration_period_s: f64,
+    /// Workload and fleet seed.
+    pub seed: u64,
 }
 
 impl Default for DriftConfig {
     fn default() -> Self {
-        DriftConfig {
-            base: SimulationConfig {
-                duration_s: 1500.0,
-                step_s: 10.0,
-                arrival: crate::load::ArrivalConfig {
-                    mean_rate_per_hour: 900.0,
-                    diurnal_amplitude: 0.0,
-                    ..Default::default()
-                },
-                policy: Policy::Qonductor { preference: Preference::balanced() },
-                trigger_queue_limit: 25,
-                trigger_interval_s: 60.0,
-                metrics_interval_s: 100.0,
+        DriftConfig { duration_s: 1500.0, calibration_period_s: 400.0, seed: 77 }
+    }
+}
+
+impl DriftConfig {
+    /// The scenario: a flat 900 jobs/h single-tenant stream on the default
+    /// fleet recalibrating every period, batched by 25-job / 60 s triggers,
+    /// dispatched under `calibration`.
+    pub fn scenario(&self, calibration: CalibrationPolicy) -> Scenario {
+        let arrival = ArrivalConfig {
+            mean_rate_per_hour: 900.0,
+            diurnal_amplitude: 0.0,
+            ..Default::default()
+        };
+        let fleet =
+            default_fleet(self.seed).with_calibration_period(self.calibration_period_s, 0.0);
+        Scenario {
+            trigger: ScheduleTrigger::new(25, 60.0),
+            scheduler: SchedulerConfig {
                 nsga2: Nsga2Config {
                     population_size: 20,
                     max_generations: 15,
@@ -44,22 +51,22 @@ impl Default for DriftConfig {
                     num_threads: 2,
                     ..Nsga2Config::default()
                 },
-                calibration: CalibrationPolicy::SplitAtBoundary,
-                seed: 77,
-                ..Default::default()
+                ..SchedulerConfig::default()
             },
-            calibration_period_s: 400.0,
+            calibration,
+            sample_every_s: 100.0,
+            ..Scenario::paper(fleet, arrival, 0.5, self.duration_s, self.seed)
         }
     }
 }
 
 /// Side-by-side outcome of the drift scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DriftComparison {
     /// The calibration-aware run (split + re-estimate at boundaries).
-    pub aware: SimulationReport,
+    pub aware: Report,
     /// The naive baseline (stale estimates dispatch across boundaries).
-    pub naive: SimulationReport,
+    pub naive: Report,
 }
 
 impl DriftComparison {
@@ -76,59 +83,35 @@ impl DriftComparison {
     }
 }
 
-/// Run the calibration-aware arm and the naive arm of the drift scenario on
-/// identically seeded fleets and workload streams.
+/// Run the calibration-aware arm and the naive arm on identically seeded
+/// fleets and workload streams.
 pub fn run_drift_comparison(config: &DriftConfig) -> DriftComparison {
-    let aware = CloudSimulation::with_drifting_fleet(
-        SimulationConfig { calibration: CalibrationPolicy::SplitAtBoundary, ..config.base },
-        config.calibration_period_s,
-    )
-    .run();
-    let naive = CloudSimulation::with_drifting_fleet(
-        SimulationConfig { calibration: CalibrationPolicy::Naive, ..config.base },
-        config.calibration_period_s,
-    )
-    .run();
-    DriftComparison { aware, naive }
-}
-
-/// Side-by-side outcome of the proactive boundary-penalty study: both arms
-/// run calibration-aware ([`CalibrationPolicy::SplitAtBoundary`]), but the
-/// penalized arm also steers NSGA-II *away* from boundary-crossing plans
-/// ([`SimulationConfig::boundary_penalty_weight`] > 0), so fewer batches
-/// need the reactive split-and-defer path at dispatch time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PenaltyComparison {
-    /// Calibration-aware with the proactive NSGA-II boundary penalty.
-    pub penalized: SimulationReport,
-    /// Calibration-aware with the penalty disabled (the PR-5 baseline).
-    pub baseline: SimulationReport,
-}
-
-impl PenaltyComparison {
-    /// Boundary deferrals avoided by the penalty: `baseline − penalized`
-    /// (positive = the penalty steered plans clear of boundaries).
-    pub fn deferrals_avoided(&self) -> isize {
-        self.baseline.deferred_total() as isize - self.penalized.deferred_total() as isize
+    DriftComparison {
+        aware: run(&config.scenario(CalibrationPolicy::SplitAtBoundary), None),
+        naive: run(&config.scenario(CalibrationPolicy::Naive), None),
     }
 }
 
+/// Side-by-side outcome of the proactive boundary-penalty study: both arms
+/// run calibration-aware dispatch, but the penalized arm also steers NSGA-II
+/// *away* from boundary-crossing plans
+/// ([`SchedulerConfig::boundary_penalty_weight`] > 0), so fewer batches need
+/// the reactive split-and-defer path at dispatch time.
+#[derive(Debug, Clone)]
+pub struct PenaltyComparison {
+    /// Calibration-aware with the proactive NSGA-II boundary penalty.
+    pub penalized: Report,
+    /// Calibration-aware with the penalty disabled.
+    pub baseline: Report,
+}
+
 /// Run the boundary-penalty study: calibration-aware dispatch with and
-/// without the proactive NSGA-II penalty, on identically seeded fleets and
-/// workload streams.
+/// without the proactive NSGA-II penalty, on identical fleets and workloads.
 pub fn run_penalty_comparison(config: &DriftConfig, weight: f64) -> PenaltyComparison {
-    let aware = SimulationConfig { calibration: CalibrationPolicy::SplitAtBoundary, ..config.base };
-    let penalized = CloudSimulation::with_drifting_fleet(
-        SimulationConfig { boundary_penalty_weight: weight, ..aware },
-        config.calibration_period_s,
-    )
-    .run();
-    let baseline = CloudSimulation::with_drifting_fleet(
-        SimulationConfig { boundary_penalty_weight: 0.0, ..aware },
-        config.calibration_period_s,
-    )
-    .run();
-    PenaltyComparison { penalized, baseline }
+    let aware = config.scenario(CalibrationPolicy::SplitAtBoundary);
+    let mut penalized = aware.clone();
+    penalized.scheduler.boundary_penalty_weight = weight;
+    PenaltyComparison { penalized: run(&penalized, None), baseline: run(&aware, None) }
 }
 
 #[cfg(test)]
@@ -140,10 +123,7 @@ mod tests {
     /// aware arm splits and re-estimates, the naive arm never does.
     #[test]
     fn aware_arm_splits_and_reestimates_naive_never() {
-        let config = DriftConfig {
-            base: SimulationConfig { duration_s: 900.0, ..DriftConfig::default().base },
-            calibration_period_s: 300.0,
-        };
+        let config = DriftConfig { duration_s: 900.0, calibration_period_s: 300.0, seed: 77 };
         let comparison = run_drift_comparison(&config);
         assert!(comparison.aware.split_batches() > 0, "plans must cross boundaries");
         assert!(comparison.aware.reestimated_jobs > 0, "deferred jobs must be re-estimated");

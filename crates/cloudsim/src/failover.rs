@@ -1,21 +1,16 @@
-//! Fault injection for the multi-tenant cloud simulation: a seeded crash
-//! schedule ([`FailurePlan`]) kills the control-plane leader at simulated
-//! instants mid-run; the simulation fails over to a recovered replica rebuilt
-//! from the replicated `snapshot + log replay` and keeps going. The
-//! [`ChaosReport`] captures, per crash, whether the rebuilt job state matched
-//! the pre-crash state byte for byte, and exposes the loss/duplication
-//! invariants the chaos suite asserts (no ticket lost, no job dispatched
-//! twice).
+//! Fault injection for the cloud simulation: a seeded crash schedule
+//! ([`FailurePlan`]) kills the control-plane leaders at simulated instants
+//! mid-run; the simulation fails over to replicas rebuilt from the
+//! replicated `snapshot + log replay` and keeps going. Each [`Crash`] records
+//! whether the rebuilt state matched the pre-crash state byte for byte; the
+//! loss and duplication invariants the chaos suites assert live on
+//! [`crate::sim::Report`].
 
-use crate::multitenant::MultiTenantReport;
-use crate::sim::SimulationReport;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A seeded crash schedule for one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailurePlan {
     /// Simulated instants at which the control-plane leader crashes,
     /// ascending.
@@ -45,102 +40,21 @@ impl FailurePlan {
     }
 }
 
-/// One injected leader crash and its recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CrashRecord {
+/// One injected crash — every shard's leader killed at once — and its
+/// recovery.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Crash {
     /// Simulated time of the crash.
     pub t_s: f64,
-    /// The leader that was killed.
-    pub old_leader: usize,
-    /// The leader elected by the failover.
-    pub new_leader: usize,
-    /// Journal entries replayed on top of the latest snapshot to rebuild.
+    /// Per shard: `(killed leader, leader elected by the failover)`.
+    pub leaders: Vec<(usize, usize)>,
+    /// Journal entries replayed on top of the latest snapshots to rebuild.
     pub replayed_events: u64,
-    /// `true` iff the rebuilt job state was byte-for-byte identical to the
-    /// pre-crash state.
-    pub digest_matched: bool,
-}
-
-/// Outcome of a (possibly fault-injected) single-tenant simulation run on
-/// the journaled control plane — the baseline-simulation analogue of
-/// [`ChaosReport`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BaselineChaosReport {
-    /// The ordinary simulation report (timeline, cycles, completions, and
-    /// the §7 split decisions in `dispatches`).
-    pub report: SimulationReport,
-    /// One record per injected crash, in schedule order (empty without a
-    /// failure plan).
-    pub crashes: Vec<CrashRecord>,
-    /// Snapshots installed (journal compactions) during the run.
-    pub snapshots_installed: u64,
-    /// The control plane's state digest (incremental fingerprint) at the
-    /// end of the run. Comparable between runs that snapshot on the same
-    /// schedule; cross-schedule equality checks use [`Self::final_state`].
-    pub final_digest: String,
-    /// The control plane's byte-for-byte encoded state at the end of the
-    /// run (the `encode_state` oracle) — fault-injected and failure-free
-    /// runs of the same configuration must produce equal bytes, regardless
-    /// of when each run snapshotted.
-    pub final_state: String,
-}
-
-impl BaselineChaosReport {
-    /// `true` iff every failover rebuilt the pre-crash state byte for byte.
-    pub fn all_digests_matched(&self) -> bool {
-        self.crashes.iter().all(|c| c.digest_matched)
-    }
-}
-
-/// Outcome of a fault-injected multi-tenant run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChaosReport {
-    /// The ordinary multi-tenant report (batches, tenants, completions).
-    pub report: MultiTenantReport,
-    /// One record per injected crash, in schedule order.
-    pub crashes: Vec<CrashRecord>,
-    /// Snapshots installed (journal compactions) during the run.
-    pub snapshots_installed: u64,
-}
-
-impl ChaosReport {
-    /// `true` iff every failover rebuilt the pre-crash state byte for byte.
-    pub fn all_digests_matched(&self) -> bool {
-        self.crashes.iter().all(|c| c.digest_matched)
-    }
-
-    /// Per-tenant accounting imbalance, summed: |submitted − (queued + in
-    /// flight + completed + rejected)|. Zero iff every tenant's ledger
-    /// balances exactly — both a lost ticket (under-accounting) and a
-    /// double-resolved one (over-accounting, e.g. a replay bug completing the
-    /// same ticket twice) make this non-zero.
-    pub fn lost_tickets(&self) -> u64 {
-        self.report
-            .tenants
-            .iter()
-            .map(|outcome| {
-                let s = outcome.stats;
-                let accounted = s.queued as u64 + s.in_flight as u64 + s.completed + s.rejected;
-                s.submitted.abs_diff(accounted)
-            })
-            .sum()
-    }
-
-    /// Engine job ids appearing in more than one dispatched batch (a job
-    /// dispatched twice would corrupt the data plane). Empty iff no
-    /// double-dispatch happened.
-    pub fn double_dispatched_jobs(&self) -> Vec<u64> {
-        let mut counts: HashMap<u64, usize> = HashMap::new();
-        for batch in &self.report.batches {
-            for &job_id in &batch.job_ids {
-                *counts.entry(job_id).or_insert(0) += 1;
-            }
-        }
-        let mut duplicated: Vec<u64> =
-            counts.into_iter().filter(|&(_, n)| n > 1).map(|(id, _)| id).collect();
-        duplicated.sort_unstable();
-        duplicated
-    }
+    /// `true` iff every shard's rebuilt state matched its pre-crash digest.
+    pub digests_matched: bool,
+    /// `true` iff the fleet allocator rebuilt from the journaled lease sets
+    /// with no QPU leaked or double-granted.
+    pub allocator_consistent: bool,
 }
 
 #[cfg(test)]

@@ -7,48 +7,69 @@
 //! outage — the planner must route *around* scheduled capacity holes, not
 //! through them.
 
-use crate::sim::{CloudSimulation, Policy, SimulationConfig, SimulationReport};
+use crate::load::ArrivalConfig;
+use crate::sim::{run, Report, Scenario};
 use qonductor_backend::{Fleet, ResourceClass};
 use qonductor_core::federation::{
     CostOptimized, FederatedFleet, LeastLoaded, PlacementStrategy, QuantumAware,
 };
 use qonductor_core::jobmanager::CalibrationPolicy;
-use qonductor_scheduler::{Nsga2Config, Preference, SchedulerConfig};
+use qonductor_scheduler::{Nsga2Config, ScheduleTrigger, SchedulerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+
+/// Region taken down by the seeded outage.
+pub const OUTAGE_REGION: &str = "eu-central";
+/// Cost-lane weight of the cost-optimized arm.
+const COST_WEIGHT: f64 = 1.0;
 
 /// Configuration of the federation placement scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FederationConfig {
-    /// The shared simulation configuration; the policy/preference and cost
-    /// weight are overridden per placement arm.
-    pub base: SimulationConfig,
-    /// Region taken down by the seeded outage.
-    pub outage_region: String,
+    /// Simulated duration (seconds).
+    pub duration_s: f64,
     /// Outage start (simulated seconds).
     pub outage_start_s: f64,
     /// Outage end (simulated seconds).
     pub outage_end_s: f64,
-    /// Cost-lane weight of the cost-optimized arm.
-    pub cost_weight: f64,
+    /// Workload and fleet seed.
+    pub seed: u64,
 }
 
 impl Default for FederationConfig {
     fn default() -> Self {
         FederationConfig {
-            base: SimulationConfig {
-                duration_s: 1500.0,
-                step_s: 10.0,
-                arrival: crate::load::ArrivalConfig {
-                    mean_rate_per_hour: 900.0,
-                    diurnal_amplitude: 0.0,
-                    ..Default::default()
-                },
-                policy: Policy::Qonductor { preference: Preference::balanced() },
-                trigger_queue_limit: 25,
-                trigger_interval_s: 60.0,
-                metrics_interval_s: 100.0,
+            duration_s: 1500.0,
+            outage_start_s: 400.0,
+            outage_end_s: 900.0,
+            seed: 77,
+        }
+    }
+}
+
+impl FederationConfig {
+    /// One placement arm's scenario: the federation with the outage
+    /// scheduled, a flat 900 jobs/h single-tenant stream, 25-job / 60 s
+    /// triggers, and the strategy's preference and cost weight. Dispatch is
+    /// calibration-aware: the partition machinery that handles calibration
+    /// crossovers is what turns maintenance windows into scheduled capacity
+    /// holes.
+    pub fn scenario(&self, strategy: &dyn PlacementStrategy) -> Scenario {
+        let sched = strategy.scheduler_config(SchedulerConfig::default());
+        let mut federation = federated_heterogeneous(self.seed);
+        federation.fleet_mut().schedule_region_outage(
+            OUTAGE_REGION,
+            self.outage_start_s,
+            self.outage_end_s,
+        );
+        let arrival = ArrivalConfig {
+            mean_rate_per_hour: 900.0,
+            diurnal_amplitude: 0.0,
+            ..Default::default()
+        };
+        Scenario {
+            trigger: ScheduleTrigger::new(25, 60.0),
+            scheduler: SchedulerConfig {
                 nsga2: Nsga2Config {
                     population_size: 20,
                     max_generations: 15,
@@ -56,28 +77,24 @@ impl Default for FederationConfig {
                     num_threads: 2,
                     ..Nsga2Config::default()
                 },
-                // The outage is routed around with the same partition
-                // machinery as calibration crossovers — the aware policy is
-                // what makes maintenance windows scheduled capacity holes.
-                calibration: CalibrationPolicy::SplitAtBoundary,
-                seed: 77,
-                ..Default::default()
+                preference: sched.preference,
+                cost_weight: sched.cost_weight,
+                ..SchedulerConfig::default()
             },
-            outage_region: "eu-central".to_string(),
-            outage_start_s: 400.0,
-            outage_end_s: 900.0,
-            cost_weight: 1.0,
+            calibration: CalibrationPolicy::SplitAtBoundary,
+            sample_every_s: 100.0,
+            ..Scenario::paper(federation.into_fleet(), arrival, 0.5, self.duration_s, self.seed)
         }
     }
 }
 
 /// One placement strategy's run over the federated fleet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlacementArm {
     /// Strategy name ([`PlacementStrategy::name`]).
     pub strategy: String,
     /// The arm's full simulation report.
-    pub report: SimulationReport,
+    pub report: Report,
     /// Executions that *started* inside the outage window on an affected
     /// QPU — must be 0 for every strategy (the planner routes around
     /// scheduled capacity holes).
@@ -85,18 +102,16 @@ pub struct PlacementArm {
 }
 
 /// Side-by-side outcome of the federation placement scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FederationComparison {
+    /// The scenario configuration every arm ran under.
+    pub config: FederationConfig,
     /// One arm per strategy, in run order.
     pub arms: Vec<PlacementArm>,
     /// Flat indices of the QPUs taken down by the outage.
     pub affected_qpus: Vec<usize>,
     /// `(provider name, qpu count)` spans of the federation.
     pub provider_spans: Vec<(String, usize)>,
-    /// The outage interval `(start_s, end_s)`.
-    pub outage_s: (f64, f64),
-    /// The outage region.
-    pub outage_region: String,
 }
 
 impl FederationComparison {
@@ -114,17 +129,18 @@ impl FederationComparison {
     /// more jobs spends more in absolute terms even when each job is
     /// cheaper.
     pub fn cost_reduction(&self) -> f64 {
-        match (self.arm("least-loaded"), self.arm("cost-optimized")) {
-            (Some(ll), Some(co)) => ll.report.mean_cost() - co.report.mean_cost(),
-            _ => 0.0,
-        }
+        self.least_loaded_minus_cost_optimized(Report::mean_cost)
     }
 
     /// Mean-fidelity drop the cost-optimized arm paid for its savings:
     /// `least_loaded − cost_optimized` (positive = fidelity got worse).
     pub fn fidelity_cost(&self) -> f64 {
+        self.least_loaded_minus_cost_optimized(Report::mean_fidelity)
+    }
+
+    fn least_loaded_minus_cost_optimized(&self, metric: fn(&Report) -> f64) -> f64 {
         match (self.arm("least-loaded"), self.arm("cost-optimized")) {
-            (Some(ll), Some(co)) => ll.report.mean_fidelity() - co.report.mean_fidelity(),
+            (Some(ll), Some(co)) => metric(&ll.report) - metric(&co.report),
             _ => 0.0,
         }
     }
@@ -132,14 +148,13 @@ impl FederationComparison {
     /// Human-readable comparison table — the `federation_summary.txt`
     /// artifact the CI scenario uploads.
     pub fn summary(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
+        let mut out = format!(
             "federation placement comparison — outage: {} [{:.0}s, {:.0}s), {} QPU(s) down\n",
-            self.outage_region,
-            self.outage_s.0,
-            self.outage_s.1,
+            OUTAGE_REGION,
+            self.config.outage_start_s,
+            self.config.outage_end_s,
             self.affected_qpus.len()
-        ));
+        );
         let spans: Vec<String> =
             self.provider_spans.iter().map(|(name, len)| format!("{name}({len})")).collect();
         out.push_str(&format!("providers: {}\n\n", spans.join(" ")));
@@ -193,67 +208,43 @@ pub fn federated_heterogeneous(seed: u64) -> FederatedFleet {
     )
 }
 
-/// Run one placement arm: compose the federation, schedule the regional
-/// outage, and drive the simulation under the strategy's scheduler
-/// configuration.
-fn run_arm(config: &FederationConfig, strategy: &dyn PlacementStrategy) -> PlacementArm {
-    let sched = strategy.scheduler_config(SchedulerConfig::default());
-    let sim_config = SimulationConfig {
-        policy: Policy::Qonductor { preference: sched.preference },
-        cost_weight: sched.cost_weight,
-        ..config.base
-    };
-    let mut federation = federated_heterogeneous(sim_config.seed);
-    federation.fleet_mut().schedule_region_outage(
-        &config.outage_region,
-        config.outage_start_s,
-        config.outage_end_s,
-    );
-    let affected: Vec<usize> = federation
-        .fleet()
-        .members()
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| m.qpu.region == config.outage_region)
-        .map(|(i, _)| i)
-        .collect();
-    let report = CloudSimulation::new(sim_config, federation.into_fleet()).run();
-    let outage_violations = report
-        .completed
-        .iter()
-        .filter(|c| {
-            let start_abs = c.submit_s + c.waiting_s;
-            affected.contains(&c.qpu_index)
-                && start_abs >= config.outage_start_s
-                && start_abs < config.outage_end_s
-        })
-        .count();
-    PlacementArm { strategy: strategy.name().to_string(), report, outage_violations }
-}
-
 /// Run the full federation placement comparison: least-loaded,
 /// quantum-aware, and cost-optimized placement over identically seeded
 /// fleets, workloads, and outage schedules.
 pub fn run_federation_comparison(config: &FederationConfig) -> FederationComparison {
-    let cost_optimized = CostOptimized { cost_weight: config.cost_weight };
+    let cost_optimized = CostOptimized { cost_weight: COST_WEIGHT };
     let strategies: [&dyn PlacementStrategy; 3] = [&LeastLoaded, &QuantumAware, &cost_optimized];
-    let arms: Vec<PlacementArm> = strategies.iter().map(|s| run_arm(config, *s)).collect();
-
-    let federation = federated_heterogeneous(config.base.seed);
+    let federation = federated_heterogeneous(config.seed);
     let affected_qpus: Vec<usize> = federation
         .fleet()
         .members()
         .iter()
         .enumerate()
-        .filter(|(_, m)| m.qpu.region == config.outage_region)
+        .filter(|(_, m)| m.qpu.region == OUTAGE_REGION)
         .map(|(i, _)| i)
         .collect();
+    let arms = strategies
+        .iter()
+        .map(|strategy| {
+            let report = run(&config.scenario(*strategy), None);
+            let outage_violations = report
+                .completed
+                .iter()
+                .filter(|c| {
+                    let start_s = c.submit_s + c.waiting_s;
+                    affected_qpus.contains(&c.qpu_index)
+                        && start_s >= config.outage_start_s
+                        && start_s < config.outage_end_s
+                })
+                .count();
+            PlacementArm { strategy: strategy.name().to_string(), report, outage_violations }
+        })
+        .collect();
     FederationComparison {
+        config: config.clone(),
         arms,
         affected_qpus,
         provider_spans: federation.provider_spans(),
-        outage_s: (config.outage_start_s, config.outage_end_s),
-        outage_region: config.outage_region.clone(),
     }
 }
 
@@ -288,7 +279,7 @@ mod tests {
     #[test]
     fn all_arms_complete_work_and_respect_the_outage() {
         let config = FederationConfig {
-            base: SimulationConfig { duration_s: 700.0, ..FederationConfig::default().base },
+            duration_s: 700.0,
             outage_start_s: 200.0,
             outage_end_s: 500.0,
             ..FederationConfig::default()

@@ -4,10 +4,13 @@
 //! methodology (§8.2): a diurnal Poisson load generator calibrated to the
 //! measured IBM Quantum arrival rates (1100–2050 jobs/hour, mean 1500),
 //! synthetic hybrid applications (benchmark circuits + optional error
-//! mitigation), closed-form per-QPU fidelity/runtime estimates, and a
-//! discrete-time simulation engine that drives the Qonductor scheduler (or the
-//! FCFS / least-busy baselines) against the modelled QPU fleet's job queues
-//! while collecting the end-to-end metrics of §8.1.
+//! mitigation), closed-form per-QPU fidelity/runtime estimates, and one
+//! discrete-time event loop ([`sim::run`]) that drives a
+//! [`Scenario`] — fleet, tenants, pre-generated arrivals, placement policy —
+//! through the sharded control plane the orchestrator serves jobs with,
+//! collecting the end-to-end metrics of §8.1 in one [`Report`]. The
+//! `multitenant`, `sharded`, `drift`, `federation`, and `slo` modules build
+//! the evaluation's scenarios.
 
 #![warn(missing_docs)]
 
@@ -25,7 +28,7 @@ pub use drift::{
     run_drift_comparison, run_penalty_comparison, DriftComparison, DriftConfig, PenaltyComparison,
 };
 pub use estimates::{estimate, FastEstimate};
-pub use failover::{BaselineChaosReport, ChaosReport, CrashRecord, FailurePlan};
+pub use failover::{Crash, FailurePlan};
 pub use federation::{
     federated_heterogeneous, run_federation_comparison, FederationComparison, FederationConfig,
     PlacementArm,
@@ -34,18 +37,8 @@ pub use load::{
     ArrivalConfig, HybridApplication, LoadGenerator, MultiTenantLoadGenerator, StreamArrival,
     TenantArrivalConfig,
 };
-pub use multitenant::{
-    BatchComposition, MultiTenantConfig, MultiTenantReport, MultiTenantSimulation,
-    TenantCompletion, TenantLoad, TenantOutcome,
-};
-pub use sharded::{
-    ShardedBatch, ShardedCrashRecord, ShardedReport, ShardedSimConfig, ShardedSimulation,
-};
 pub use sim::{
-    CloudSimulation, CompletedApp, CycleRecord, DispatchRecord, Policy, SimulationConfig,
-    SimulationReport, TimePoint,
+    default_fleet, run, Batch, Completion, CycleRecord, Placement, Report, Scenario, Tenant,
+    TenantOutcome, TimePoint,
 };
-pub use slo::{
-    run_slo_arm, run_slo_comparison, SloArmOutcome, SloArmReport, SloComparison, SloCompletion,
-    SloConfig,
-};
+pub use slo::{run_slo_comparison, SloComparison, SloConfig};

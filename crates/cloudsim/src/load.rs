@@ -7,10 +7,9 @@
 use qonductor_circuit::{Circuit, WorkloadConfig, WorkloadGenerator};
 use qonductor_mitigation::{candidate_stacks, MitigationStack};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Arrival-process configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalConfig {
     /// Mean arrival rate in jobs per hour (paper baseline: 1500).
     pub mean_rate_per_hour: f64,
@@ -129,7 +128,7 @@ impl LoadGenerator {
 
 /// One tenant's arrival stream in a multi-tenant load (per-tenant Poisson
 /// rate and mitigation mix).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantArrivalConfig {
     /// The tenant's Poisson arrival process.
     pub arrival: ArrivalConfig,

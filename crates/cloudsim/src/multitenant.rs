@@ -1,438 +1,71 @@
-//! Multi-tenant cloud simulation: independent tenants with their own Poisson
+//! Multi-tenant scenarios: independent tenants with their own Poisson
 //! arrival streams and fairness weights submit through the non-blocking
-//! submission front-end of the *replicated* control plane
-//! ([`ReplicatedControlPlane`]), the weighted-fair admission step drains their
-//! queues into the shared batch engine, and the trigger-gated NSGA-II + MCDM
-//! scheduler dispatches per-batch — so the fairness path of the control plane
-//! is exercised end-to-end under realistic load. Every state transition rides
-//! the quorum-replicated journal, which lets
-//! [`MultiTenantSimulation::run_with_failures`] kill the control-plane leader
-//! mid-simulation and continue on a replica rebuilt from `snapshot + log
-//! replay`.
+//! front-end of the replicated control plane, and weighted-fair admission
+//! drains their queues into the shared batch engine — the fairness path of
+//! the control plane exercised end to end under realistic load.
 
-use crate::failover::{ChaosReport, CrashRecord, FailurePlan};
-use crate::load::{MultiTenantLoadGenerator, TenantArrivalConfig};
-use crate::sim::{build_submission, AppRecord};
-use qonductor_backend::Fleet;
-use qonductor_core::jobmanager::{JobId, TenantId};
-use qonductor_core::replication::ReplicatedControlPlane;
-use qonductor_core::submission::{TenantConfig, TenantStats, TicketId};
-use qonductor_scheduler::{
-    HybridScheduler, Nsga2Config, Preference, ScheduleTrigger, SchedulerConfig, TriggerReason,
-};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use crate::load::{ArrivalConfig, TenantArrivalConfig};
+use crate::sim::{default_fleet, Scenario, Tenant};
+use qonductor_core::submission::TenantConfig;
 
-/// One tenant of the multi-tenant simulation: fairness configuration plus an
-/// arrival stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TenantLoad {
-    /// Deficit-round-robin admission weight.
-    pub weight: u32,
-    /// Cap on admitted-but-not-completed jobs.
-    pub max_in_flight: usize,
-    /// Re-queue budget for scheduler-rejected jobs.
-    pub max_retries: u32,
-    /// The tenant's Poisson arrival stream (rate + mitigation mix).
-    pub arrivals: TenantArrivalConfig,
-}
-
-impl Default for TenantLoad {
-    fn default() -> Self {
-        TenantLoad {
-            weight: 1,
-            max_in_flight: 256,
-            max_retries: 1,
-            arrivals: TenantArrivalConfig::default(),
-        }
-    }
-}
-
-/// Multi-tenant simulation configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MultiTenantConfig {
-    /// Simulated duration in seconds.
-    pub duration_s: f64,
-    /// Simulation step in seconds.
-    pub step_s: f64,
-    /// The competing tenants.
-    pub tenants: Vec<TenantLoad>,
-    /// Queue-size trigger threshold (also the admission pool capacity, so no
-    /// batch exceeds it).
-    pub trigger_queue_limit: usize,
-    /// Time-based trigger interval (seconds).
-    pub trigger_interval_s: f64,
-    /// NSGA-II configuration of the batch scheduler.
-    pub nsga2: Nsga2Config,
-    /// MCDM objective preference.
-    pub preference: Preference,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for MultiTenantConfig {
-    fn default() -> Self {
-        MultiTenantConfig {
-            duration_s: 1200.0,
-            step_s: 10.0,
-            tenants: vec![
-                TenantLoad { weight: 2, ..TenantLoad::default() },
-                TenantLoad { weight: 1, ..TenantLoad::default() },
-            ],
-            trigger_queue_limit: 30,
-            trigger_interval_s: 60.0,
-            nsga2: Nsga2Config {
-                population_size: 24,
-                max_generations: 20,
-                max_evaluations: 2400,
-                num_threads: 2,
-                ..Nsga2Config::default()
-            },
-            preference: Preference::balanced(),
-            seed: 2025,
-        }
-    }
-}
-
-/// Per-tenant composition of one dispatched batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchComposition {
-    /// Simulated time of the dispatch.
-    pub t_s: f64,
-    /// Why the trigger fired.
-    pub reason: TriggerReason,
-    /// Jobs handed to the scheduler.
-    pub num_jobs: usize,
-    /// `(tenant, job count)` pairs, ascending tenant order.
-    pub tenant_jobs: Vec<(TenantId, usize)>,
-    /// Engine job ids in the batch (submission order) — the chaos suite uses
-    /// these to prove no job is dispatched twice across a failover.
-    pub job_ids: Vec<JobId>,
-}
-
-/// One completed application, attributed to its tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TenantCompletion {
-    /// The tenant the application belonged to.
-    pub tenant: TenantId,
-    /// Application id (unique across tenants).
-    pub app_id: u64,
-    /// Submission time (seconds).
-    pub submit_s: f64,
-    /// Submission-to-start wait — tenant queue, pending pool, and QPU queue
-    /// (seconds).
-    pub waiting_s: f64,
-    /// Submission-to-finish turnaround (seconds).
-    pub turnaround_s: f64,
-    /// Achieved fidelity.
-    pub fidelity: f64,
-}
-
-/// One tenant's end-of-run outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TenantOutcome {
-    /// The tenant id.
-    pub tenant: TenantId,
-    /// Applications that arrived on the tenant's stream.
-    pub arrived: u64,
-    /// Arrivals too large for every QPU (never submitted).
-    pub infeasible: u64,
-    /// Submission-service accounting (admissions, completions, waits).
-    pub stats: TenantStats,
-}
-
-/// Full multi-tenant simulation report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MultiTenantReport {
-    /// Every dispatched batch with its per-tenant composition.
-    pub batches: Vec<BatchComposition>,
-    /// Per-tenant outcomes, ascending by tenant id.
-    pub tenants: Vec<TenantOutcome>,
-    /// Every completed application.
-    pub completed: Vec<TenantCompletion>,
-}
-
-impl MultiTenantReport {
-    /// A tenant's share of all admitted batch slots, in `[0, 1]`
-    /// (0 if nothing was dispatched).
-    pub fn admitted_share(&self, tenant: TenantId) -> f64 {
-        let total: usize = self.batches.iter().map(|b| b.num_jobs).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let own: usize = self
-            .batches
-            .iter()
-            .flat_map(|b| &b.tenant_jobs)
-            .filter(|(t, _)| *t == tenant)
-            .map(|(_, n)| n)
-            .sum();
-        own as f64 / total as f64
-    }
-
-    /// Mean submission-to-finish turnaround of one tenant's completions
-    /// (seconds; 0 with none).
-    pub fn mean_turnaround_s(&self, tenant: TenantId) -> f64 {
-        let own: Vec<f64> =
-            self.completed.iter().filter(|c| c.tenant == tenant).map(|c| c.turnaround_s).collect();
-        if own.is_empty() {
-            0.0
-        } else {
-            own.iter().sum::<f64>() / own.len() as f64
-        }
-    }
-}
-
-/// The multi-tenant cloud simulation engine.
-pub struct MultiTenantSimulation {
-    config: MultiTenantConfig,
-    fleet: Fleet,
-    rng: StdRng,
-}
-
-impl MultiTenantSimulation {
-    /// Create a simulation over an explicit fleet.
-    pub fn new(config: MultiTenantConfig, fleet: Fleet) -> Self {
-        let rng = StdRng::seed_from_u64(config.seed);
-        MultiTenantSimulation { config, fleet, rng }
-    }
-
-    /// Create a simulation over the default 8-QPU IBM-like fleet.
-    pub fn with_default_fleet(config: MultiTenantConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xF1EE7);
-        let fleet = Fleet::ibm_default(&mut rng);
-        Self::new(config, fleet)
-    }
-
-    /// Run the simulation to completion and produce the report.
-    pub fn run(self) -> MultiTenantReport {
-        self.run_inner(None).report
-    }
-
-    /// Run the simulation under fault injection: at each instant of the
-    /// plan's crash schedule the control-plane leader is killed (its volatile
-    /// job state dies with it), a new leader is elected, and the job state is
-    /// rebuilt from the replicated `snapshot + log replay` before the
-    /// simulation continues. The report records, per crash, whether the
-    /// rebuilt state matched the pre-crash state byte for byte.
-    pub fn run_with_failures(self, plan: &FailurePlan) -> ChaosReport {
-        self.run_inner(Some(plan))
-    }
-
-    fn run_inner(mut self, plan: Option<&FailurePlan>) -> ChaosReport {
-        let cfg = self.config.clone();
-        assert!(!cfg.tenants.is_empty(), "multi-tenant simulation needs at least one tenant");
-        // Warm-started like the orchestrator: each batch cycle seeds NSGA-II
-        // from the previous cycle's Pareto front.
-        let scheduler = HybridScheduler::with_warm_start(SchedulerConfig {
-            nsga2: cfg.nsga2,
-            preference: cfg.preference,
-            ..SchedulerConfig::default()
-        });
-        // The journaled control plane: f = 1 (three store replicas, three
-        // election nodes). The election cluster has its own RNG, so
-        // replication does not perturb the simulation's random stream.
-        let mut control = ReplicatedControlPlane::new(
-            ScheduleTrigger::new(cfg.trigger_queue_limit, cfg.trigger_interval_s),
-            1,
-            cfg.seed ^ 0x51AB,
-        );
-        let tenant_ids: Vec<TenantId> = cfg
-            .tenants
-            .iter()
-            .map(|t| {
-                control
-                    .register_tenant_with(TenantConfig {
-                        weight: t.weight,
-                        max_in_flight: t.max_in_flight,
-                        max_retries: t.max_retries,
-                    })
-                    .expect("fresh store has a quorum")
-            })
-            .collect();
-        let streams: Vec<TenantArrivalConfig> = cfg.tenants.iter().map(|t| t.arrivals).collect();
-        let mut load = MultiTenantLoadGenerator::new(&streams, self.fleet.max_qubits());
-
-        let mut apps: HashMap<TicketId, (TenantId, AppRecord)> = HashMap::new();
-        let mut arrived = vec![0u64; cfg.tenants.len()];
-        let mut infeasible = vec![0u64; cfg.tenants.len()];
-        let mut batches: Vec<BatchComposition> = Vec::new();
-        let mut completed: Vec<TenantCompletion> = Vec::new();
-        let mut crash_schedule: VecDeque<f64> =
-            plan.map(|p| p.crash_times_s.iter().copied().collect()).unwrap_or_default();
-        // Checkpoint even without a failure plan: snapshots are
-        // behavior-neutral (proven by the chaos-vs-plain equality test) and
-        // keep the journal bounded over long figure-generating runs instead
-        // of growing one entry per event for the whole simulation.
-        const DEFAULT_SNAPSHOT_EVERY_BATCHES: usize = 8;
-        let snapshot_every =
-            plan.map_or(DEFAULT_SNAPSHOT_EVERY_BATCHES, |p| p.snapshot_every_batches);
-        let mut crashes: Vec<CrashRecord> = Vec::new();
-        let mut snapshots_installed = 0u64;
-
-        let mut t = 0.0f64;
-        while t < cfg.duration_s {
-            let t_next = (t + cfg.step_s).min(cfg.duration_s);
-
-            // 0. Fault injection: kill the leader at every scheduled instant
-            //    in (t, t_next], then fail over and continue on the rebuilt
-            //    replica.
-            while crash_schedule.front().is_some_and(|&c| c <= t_next) {
-                let crash_t = crash_schedule.pop_front().expect("front checked");
-                let digest = control.state_digest();
-                let old_leader = control.leader().unwrap_or(0);
-                let replayed_events = control.replay_backlog();
-                control.crash_leader();
-                control.failover().expect("a majority of control replicas survives");
-                crashes.push(CrashRecord {
-                    t_s: crash_t,
-                    old_leader,
-                    new_leader: control.leader().unwrap_or(old_leader),
-                    replayed_events,
-                    digest_matched: control.state_digest() == digest,
-                });
-            }
-
-            // 1. Advance QPU queues to t_next and resolve completions.
-            self.fleet.advance_to(t_next, &mut self.rng);
-            let done = control.drain_completions(&mut self.fleet);
-            let resolved =
-                control.note_completions(&done).expect("control-plane journal has a quorum");
-            for (ticket, completion) in resolved {
-                let Some((tenant, record)) = apps.remove(&ticket.ticket) else { continue };
-                let est = &record.estimates[completion.qpu_index];
-                let jitter = 1.0 + self.rng.gen_range(-0.02..0.02);
-                completed.push(TenantCompletion {
-                    tenant,
-                    app_id: record.app_id,
-                    submit_s: record.submit_s,
-                    waiting_s: completion.record.start_time_s - record.submit_s,
-                    turnaround_s: completion.record.finish_time_s - record.submit_s,
-                    fidelity: (est.fidelity * jitter).clamp(0.0, 1.0),
-                });
-            }
-
-            // 2. Per-tenant arrivals in [t, t_next): non-blocking submission
-            //    into the tenant's FIFO queue (journaled).
-            for arrival in load.arrivals_in(t, t_next, &mut self.rng) {
-                arrived[arrival.stream] += 1;
-                match build_submission(&self.fleet, &arrival.app) {
-                    Some((spec, record)) => {
-                        let ticket = control
-                            .submit(tenant_ids[arrival.stream], spec, arrival.app.submit_time_s)
-                            .expect("streams map to registered tenants; journal has a quorum");
-                        apps.insert(ticket.ticket, (tenant_ids[arrival.stream], record));
-                    }
-                    None => infeasible[arrival.stream] += 1,
-                }
-            }
-
-            // 3. Weighted-fair admission into the pending pool, then the
-            //    trigger-gated batch dispatch (both journaled).
-            control.admit(t_next).expect("control-plane journal has a quorum");
-            if let Some(outcome) = control
-                .try_dispatch(t_next, &scheduler, &mut self.fleet)
-                .expect("control-plane journal has a quorum")
-            {
-                for ticket in &outcome.terminal_rejections {
-                    apps.remove(&ticket.ticket);
-                }
-                let batch = &outcome.record;
-                batches.push(BatchComposition {
-                    t_s: batch.t_s,
-                    reason: batch.reason,
-                    num_jobs: batch.job_ids.len(),
-                    tenant_jobs: batch.tenant_jobs.clone(),
-                    job_ids: batch.job_ids.clone(),
-                });
-                // Periodic checkpoint: snapshot the job state and compact the
-                // journal so failovers replay a short suffix, not history.
-                if snapshot_every > 0 && batches.len().is_multiple_of(snapshot_every) {
-                    control.snapshot().expect("control-plane journal has a quorum");
-                    snapshots_installed += 1;
-                }
-            }
-
-            t = t_next;
-        }
-
-        let tenants = tenant_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &tenant)| TenantOutcome {
-                tenant,
-                arrived: arrived[i],
-                infeasible: infeasible[i],
-                stats: control.submissions().tenant_stats(tenant).expect("tenant registered"),
-            })
-            .collect();
-        ChaosReport {
-            report: MultiTenantReport { batches, tenants, completed },
-            crashes,
-            snapshots_installed,
-        }
-    }
+/// One tenant per weight on the default fleet, each with a flat Poisson
+/// stream of `rate_per_hour` (30% mitigated), a one-retry budget, and its
+/// in-flight cap lifted so the DRR weights are the only throttle. 10 s
+/// steps; callers pick the trigger and scheduler.
+pub fn saturating(weights: &[u32], rate_per_hour: f64, duration_s: f64, seed: u64) -> Scenario {
+    let stream = TenantArrivalConfig {
+        arrival: ArrivalConfig {
+            mean_rate_per_hour: rate_per_hour,
+            diurnal_amplitude: 0.0,
+            ..ArrivalConfig::default()
+        },
+        mitigation_fraction: 0.3,
+    };
+    let tenants = weights
+        .iter()
+        .map(|&weight| {
+            let config = TenantConfig { weight, max_in_flight: 1_000_000, max_retries: 1 };
+            (Tenant { config, slo: None }, stream)
+        })
+        .collect();
+    Scenario::poisson(default_fleet(seed), tenants, duration_s, 10.0, seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::load::ArrivalConfig;
+    use crate::failover::FailurePlan;
+    use crate::sim::run;
+    use qonductor_scheduler::{Nsga2Config, ScheduleTrigger, SchedulerConfig};
 
-    fn saturating_config() -> MultiTenantConfig {
-        let stream = |rate: f64| TenantArrivalConfig {
-            arrival: ArrivalConfig {
-                mean_rate_per_hour: rate,
-                diurnal_amplitude: 0.0,
-                ..Default::default()
-            },
-            mitigation_fraction: 0.3,
-        };
-        MultiTenantConfig {
-            duration_s: 400.0,
-            step_s: 10.0,
-            // Each stream alone (2.5 jobs/s) exceeds the ~1.8 jobs/s dispatch
-            // capacity (18-job batches, one per 10 s step), so both tenant
-            // queues stay saturated and the DRR weights bind. In-flight caps
-            // are lifted so admission fairness is the only throttle.
-            tenants: vec![
-                TenantLoad {
-                    weight: 2,
-                    arrivals: stream(9000.0),
-                    max_in_flight: 1_000_000,
-                    ..TenantLoad::default()
+    /// Each stream alone (2.5 jobs/s) exceeds the ~1.8 jobs/s dispatch
+    /// capacity (18-job batches, one per 10 s step), so both tenant queues
+    /// stay saturated and the DRR weights bind.
+    fn saturating_scenario() -> Scenario {
+        Scenario {
+            trigger: ScheduleTrigger::new(18, 45.0),
+            scheduler: SchedulerConfig {
+                nsga2: Nsga2Config {
+                    population_size: 16,
+                    max_generations: 10,
+                    max_evaluations: 1000,
+                    num_threads: 2,
+                    ..Nsga2Config::default()
                 },
-                TenantLoad {
-                    weight: 1,
-                    arrivals: stream(9000.0),
-                    max_in_flight: 1_000_000,
-                    ..TenantLoad::default()
-                },
-            ],
-            trigger_queue_limit: 18,
-            trigger_interval_s: 45.0,
-            nsga2: Nsga2Config {
-                population_size: 16,
-                max_generations: 10,
-                max_evaluations: 1000,
-                num_threads: 2,
-                ..Nsga2Config::default()
+                ..SchedulerConfig::default()
             },
-            preference: Preference::balanced(),
-            seed: 42,
+            ..saturating(&[2, 1], 9000.0, 400.0, 42)
         }
     }
 
     #[test]
     fn weighted_tenants_share_batches_by_weight() {
-        let report = MultiTenantSimulation::with_default_fleet(saturating_config()).run();
+        let report = run(&saturating_scenario(), None);
         assert!(!report.batches.is_empty(), "batches must dispatch");
         assert!(!report.completed.is_empty(), "applications must complete");
         // Equal saturating arrival rates, weights 2:1: the heavy tenant's
         // aggregate admitted share tracks 2/3.
-        let share = report.admitted_share(report.tenants[0].tenant);
+        let share = report.admitted_share(0);
         assert!((share - 2.0 / 3.0).abs() <= 0.1, "heavy-tenant share {share}");
         // No tenant loses tickets: queued + in flight + completed + rejected
         // accounts for every submission.
@@ -447,13 +80,13 @@ mod tests {
             assert!(s.completed > 0, "tenant {} completes work", outcome.tenant);
         }
         // Batches never exceed the queue-size trigger limit.
-        assert!(report.batches.iter().all(|b| b.num_jobs <= 18));
+        assert!(report.batches.iter().all(|b| b.job_ids.len() <= 18));
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let a = MultiTenantSimulation::with_default_fleet(saturating_config()).run();
-        let b = MultiTenantSimulation::with_default_fleet(saturating_config()).run();
+        let a = run(&saturating_scenario(), None);
+        let b = run(&saturating_scenario(), None);
         assert_eq!(a.batches, b.batches);
         assert_eq!(a.completed.len(), b.completed.len());
     }
@@ -465,18 +98,19 @@ mod tests {
     #[test]
     fn failovers_mid_run_lose_no_state() {
         let plan = FailurePlan::from_seed(5, 400.0, 2);
-        let chaos =
-            MultiTenantSimulation::with_default_fleet(saturating_config()).run_with_failures(&plan);
+        let chaos = run(&saturating_scenario(), Some(&plan));
         assert_eq!(chaos.crashes.len(), 2);
         assert!(chaos.all_digests_matched(), "rebuilt state diverged: {:?}", chaos.crashes);
         assert_eq!(chaos.lost_tickets(), 0);
         assert!(chaos.double_dispatched_jobs().is_empty());
         assert!(chaos.snapshots_installed > 0, "checkpoints compacted the journal");
         for crash in &chaos.crashes {
-            assert_ne!(crash.old_leader, crash.new_leader, "failover elected a new leader");
+            for (old, new) in &crash.leaders {
+                assert_ne!(old, new, "failover elected a new leader");
+            }
         }
-        let plain = MultiTenantSimulation::with_default_fleet(saturating_config()).run();
-        assert_eq!(chaos.report.batches, plain.batches);
-        assert_eq!(chaos.report.completed, plain.completed);
+        let plain = run(&saturating_scenario(), None);
+        assert_eq!(chaos.batches, plain.batches);
+        assert_eq!(chaos.completed, plain.completed);
     }
 }

@@ -1,82 +1,66 @@
-//! Sharded multi-tenant cloud simulation: tenants are hash-partitioned
-//! across N control-plane shards ([`ShardedControlPlane`]), each owning its
-//! own journal, batch engine, submission service, and trigger, and leasing
-//! an exclusive slice of the QPU fleet. The scenario registers one *heavy*
-//! (weight 2) and one *light* (weight 1) saturating tenant per shard —
-//! steering placement with zero-rate filler registrations, since global ids
-//! are assigned sequentially and routed by the pure
-//! [`qonductor_core::sharding::shard_of_global`] hash — so per-shard DRR
-//! fairness composes into the global 2:1 batch-share split the unsharded
-//! plane exhibits.
-//!
-//! [`ShardedSimulation::run_with_failures`] additionally kills *every*
-//! shard's leader at each scheduled crash instant and fails each shard over
-//! independently; the report records per-shard digest matches and whether
-//! the fleet allocator rebuilt from the per-shard journaled lease sets
-//! without leaking or double-granting a QPU.
+//! The sharded scenario: tenants are hash-partitioned across N control-plane
+//! shards, each owning its own journal, batch engine, submission service,
+//! and trigger, and leasing an exclusive slice of the QPU fleet. Every shard
+//! holds one *heavy* and one *light* saturating tenant — placement is
+//! steered with never-submitting filler registrations, since global ids are
+//! sequential and routed by the pure [`shard_of_global`] hash — so per-shard
+//! DRR fairness composes into the global 2:1 batch-share split of the
+//! unsharded plane.
 
-use crate::failover::FailurePlan;
-use crate::load::{ArrivalConfig, MultiTenantLoadGenerator, TenantArrivalConfig};
-use crate::multitenant::{TenantCompletion, TenantOutcome};
-use crate::sim::{build_submission, AppRecord};
-use qonductor_backend::Fleet;
-use qonductor_core::jobmanager::{CalibrationPolicy, JobId, TenantId};
-use qonductor_core::sharding::{GlobalTicket, ShardedControlPlane};
+use crate::multitenant::saturating;
+use crate::sim::{Scenario, Tenant};
+use qonductor_core::jobmanager::TenantId;
+use qonductor_core::sharding::shard_of_global;
 use qonductor_core::submission::TenantConfig;
-use qonductor_scheduler::{
-    HybridScheduler, Nsga2Config, Preference, ScheduleTrigger, SchedulerConfig, TriggerReason,
-};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use qonductor_scheduler::{Nsga2Config, ScheduleTrigger, SchedulerConfig};
 
-/// Sharded simulation configuration: one heavy + one light saturating tenant
-/// per shard, identical streams, over the shared fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardedSimConfig {
-    /// Number of control-plane shards.
-    pub num_shards: usize,
-    /// Simulated duration in seconds.
-    pub duration_s: f64,
-    /// Simulation step in seconds.
-    pub step_s: f64,
-    /// DRR weight of each shard's heavy tenant.
-    pub heavy_weight: u32,
-    /// DRR weight of each shard's light tenant.
-    pub light_weight: u32,
-    /// Poisson arrival rate of every active tenant (jobs/hour).
-    pub rate_per_hour: f64,
-    /// In-flight cap of the active tenants (lifted high so the DRR weights
-    /// are the only throttle).
-    pub max_in_flight: usize,
-    /// Re-queue budget for scheduler-rejected jobs.
-    pub max_retries: u32,
-    /// Per-shard queue-size trigger threshold (= admission pool capacity).
-    pub trigger_queue_limit: usize,
-    /// Per-shard time-based trigger interval (seconds).
-    pub trigger_interval_s: f64,
-    /// NSGA-II configuration of the batch scheduler.
-    pub nsga2: Nsga2Config,
-    /// MCDM objective preference.
-    pub preference: Preference,
-    /// RNG seed.
-    pub seed: u64,
-}
+/// DRR weight of each shard's heavy tenant.
+pub const HEAVY_WEIGHT: u32 = 2;
+/// DRR weight of each shard's light tenant (and of the fillers).
+pub const LIGHT_WEIGHT: u32 = 1;
 
-impl Default for ShardedSimConfig {
-    fn default() -> Self {
-        ShardedSimConfig {
-            num_shards: 2,
-            duration_s: 300.0,
-            step_s: 10.0,
-            heavy_weight: 2,
-            light_weight: 1,
-            rate_per_hour: 9000.0,
-            max_in_flight: 1_000_000,
-            max_retries: 1,
-            trigger_queue_limit: 12,
-            trigger_interval_s: 45.0,
+/// One heavy and one light tenant per shard, each submitting 9000 jobs/h,
+/// over `num_shards` shards of the default fleet with 12-job / 45 s
+/// triggers.
+pub fn pairs(num_shards: usize, duration_s: f64, seed: u64) -> Scenario {
+    let filler = Tenant {
+        config: TenantConfig { weight: LIGHT_WEIGHT, max_in_flight: 1, max_retries: 0 },
+        slo: None,
+    };
+    let (mut has_heavy, mut has_light) = (vec![false; num_shards], vec![false; num_shards]);
+    let mut weights = Vec::new();
+    let mut slots = Vec::new(); // registration index of each active tenant
+    let mut registered = 0usize;
+    while has_heavy.contains(&false) || has_light.contains(&false) {
+        assert!(registered < 10_000 * num_shards, "placement steering failed to cover every shard");
+        let shard = shard_of_global(registered as TenantId, num_shards);
+        let weight = if !has_heavy[shard] {
+            has_heavy[shard] = true;
+            HEAVY_WEIGHT
+        } else if !has_light[shard] {
+            has_light[shard] = true;
+            LIGHT_WEIGHT
+        } else {
+            registered += 1;
+            continue;
+        };
+        weights.push(weight);
+        slots.push(registered);
+        registered += 1;
+    }
+    let mut scenario = saturating(&weights, 9000.0, duration_s, seed);
+    let mut tenants = vec![filler; registered];
+    for (active, &slot) in slots.iter().enumerate() {
+        tenants[slot] = scenario.tenants[active];
+    }
+    for arrival in &mut scenario.arrivals {
+        arrival.stream = slots[arrival.stream];
+    }
+    Scenario {
+        shards: num_shards,
+        tenants,
+        trigger: ScheduleTrigger::new(12, 45.0),
+        scheduler: SchedulerConfig {
             nsga2: Nsga2Config {
                 population_size: 16,
                 max_generations: 8,
@@ -84,418 +68,27 @@ impl Default for ShardedSimConfig {
                 num_threads: 1,
                 ..Nsga2Config::default()
             },
-            preference: Preference::balanced(),
-            seed: 2025,
-        }
-    }
-}
-
-/// One dispatched batch, attributed to its shard; tenant compositions use
-/// *global* tenant ids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardedBatch {
-    /// The shard that dispatched the batch.
-    pub shard: usize,
-    /// Simulated time of the dispatch.
-    pub t_s: f64,
-    /// Why the shard's trigger fired.
-    pub reason: TriggerReason,
-    /// Jobs handed to the scheduler.
-    pub num_jobs: usize,
-    /// `(global tenant, job count)` pairs, ascending by global id.
-    pub tenant_jobs: Vec<(TenantId, usize)>,
-    /// Shard-local engine job ids in the batch (unique only per shard).
-    pub job_ids: Vec<JobId>,
-}
-
-/// One injected whole-plane crash (every shard's leader killed) and its
-/// per-shard recovery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardedCrashRecord {
-    /// Simulated time of the crash.
-    pub t_s: f64,
-    /// Per shard: `true` iff the shard's rebuilt state matched its pre-crash
-    /// state byte for byte.
-    pub digests_matched: Vec<bool>,
-    /// Journal entries replayed across all shards to rebuild.
-    pub replayed_events: u64,
-    /// `true` iff the fleet allocator rebuilt from the per-shard journaled
-    /// lease sets with no QPU leaked or double-granted.
-    pub allocator_consistent: bool,
-}
-
-/// Full report of a (possibly fault-injected) sharded simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardedReport {
-    /// Number of shards the plane ran with.
-    pub num_shards: usize,
-    /// Total registered tenants (active + placement fillers).
-    pub registered_tenants: usize,
-    /// Global ids of the heavy (high-weight) tenants, one per shard.
-    pub heavy_tenants: Vec<TenantId>,
-    /// Global ids of the light tenants, one per shard.
-    pub light_tenants: Vec<TenantId>,
-    /// Every dispatched batch, shard-attributed.
-    pub batches: Vec<ShardedBatch>,
-    /// Per-active-tenant outcomes (global ids), heavy tenants first.
-    pub tenants: Vec<TenantOutcome>,
-    /// Every completed application (tenant field holds the global id).
-    pub completed: Vec<TenantCompletion>,
-    /// One record per injected crash (empty without a failure plan).
-    pub crashes: Vec<ShardedCrashRecord>,
-    /// Snapshots installed (per-shard journal compactions) during the run.
-    pub snapshots_installed: u64,
-    /// Per-shard state digests (incremental fingerprints) at the end of the
-    /// run; cross-schedule equality checks use [`Self::final_states`].
-    pub final_digests: Vec<String>,
-    /// Per-shard byte-for-byte encoded states at the end of the run (the
-    /// `encode_state` oracle).
-    pub final_states: Vec<String>,
-}
-
-impl ShardedReport {
-    /// A global tenant's share of all admitted batch slots across every
-    /// shard, in `[0, 1]` (0 if nothing was dispatched).
-    pub fn admitted_share(&self, tenant: TenantId) -> f64 {
-        let total: usize = self.batches.iter().map(|b| b.num_jobs).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let own: usize = self
-            .batches
-            .iter()
-            .flat_map(|b| &b.tenant_jobs)
-            .filter(|(t, _)| *t == tenant)
-            .map(|(_, n)| n)
-            .sum();
-        own as f64 / total as f64
-    }
-
-    /// The heavy tenants' combined share of all admitted batch slots.
-    pub fn heavy_share(&self) -> f64 {
-        self.heavy_tenants.iter().map(|&t| self.admitted_share(t)).sum()
-    }
-
-    /// `true` iff every shard's failover rebuilt its pre-crash state byte
-    /// for byte, every time.
-    pub fn all_digests_matched(&self) -> bool {
-        self.crashes.iter().all(|c| c.digests_matched.iter().all(|&m| m))
-    }
-
-    /// `true` iff the allocator rebuilt conflict-free after every crash.
-    pub fn allocator_always_consistent(&self) -> bool {
-        self.crashes.iter().all(|c| c.allocator_consistent)
-    }
-
-    /// Per-tenant accounting imbalance, summed (see
-    /// [`crate::failover::ChaosReport::lost_tickets`]). Zero iff every active
-    /// tenant's ledger balances exactly.
-    pub fn lost_tickets(&self) -> u64 {
-        self.tenants
-            .iter()
-            .map(|outcome| {
-                let s = outcome.stats;
-                let accounted = s.queued as u64 + s.in_flight as u64 + s.completed + s.rejected;
-                s.submitted.abs_diff(accounted)
-            })
-            .sum()
-    }
-
-    /// `(shard, job id)` pairs appearing in more than one dispatched batch.
-    /// Empty iff no job was dispatched twice (job ids are shard-local, so the
-    /// pair is the globally unique key).
-    pub fn double_dispatched_jobs(&self) -> Vec<(usize, JobId)> {
-        let mut counts: HashMap<(usize, JobId), usize> = HashMap::new();
-        for batch in &self.batches {
-            for &job_id in &batch.job_ids {
-                *counts.entry((batch.shard, job_id)).or_insert(0) += 1;
-            }
-        }
-        let mut duplicated: Vec<(usize, JobId)> =
-            counts.into_iter().filter(|&(_, n)| n > 1).map(|(key, _)| key).collect();
-        duplicated.sort_unstable();
-        duplicated
-    }
-}
-
-/// One active (traffic-generating) tenant of the sharded scenario.
-#[derive(Debug, Clone, Copy)]
-struct ActiveTenant {
-    global: TenantId,
-    heavy: bool,
-}
-
-/// The sharded multi-tenant simulation engine.
-pub struct ShardedSimulation {
-    config: ShardedSimConfig,
-    fleet: Fleet,
-    rng: StdRng,
-}
-
-impl ShardedSimulation {
-    /// Create a simulation over an explicit fleet.
-    pub fn new(config: ShardedSimConfig, fleet: Fleet) -> Self {
-        let rng = StdRng::seed_from_u64(config.seed);
-        ShardedSimulation { config, fleet, rng }
-    }
-
-    /// Create a simulation over the default 8-QPU IBM-like fleet.
-    pub fn with_default_fleet(config: ShardedSimConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xF1EE7);
-        let fleet = Fleet::ibm_default(&mut rng);
-        Self::new(config, fleet)
-    }
-
-    /// Run the simulation to completion.
-    pub fn run(self) -> ShardedReport {
-        self.run_inner(None)
-    }
-
-    /// Run under fault injection: at each instant of the plan's crash
-    /// schedule, *every* shard's leader is killed and every shard fails over
-    /// independently before the simulation continues.
-    pub fn run_with_failures(self, plan: &FailurePlan) -> ShardedReport {
-        self.run_inner(Some(plan))
-    }
-
-    /// Register tenants until every shard holds one heavy and one light
-    /// active tenant, steering placement with zero-rate fillers (global ids
-    /// are sequential; the router is pure, so the next id's shard is known
-    /// before registering). Returns the active tenants in registration order.
-    fn register_pairs(
-        config: &ShardedSimConfig,
-        plane: &mut ShardedControlPlane,
-    ) -> Vec<ActiveTenant> {
-        let n = config.num_shards;
-        let mut has_heavy = vec![false; n];
-        let mut has_light = vec![false; n];
-        let mut active = Vec::with_capacity(2 * n);
-        let mut guard = 0usize;
-        while has_heavy.iter().any(|&h| !h) || has_light.iter().any(|&l| !l) {
-            guard += 1;
-            assert!(guard < 10_000 * n, "placement steering failed to cover every shard");
-            let shard = plane.next_shard();
-            let (weight, heavy) = if !has_heavy[shard] {
-                has_heavy[shard] = true;
-                (config.heavy_weight, true)
-            } else if !has_light[shard] {
-                has_light[shard] = true;
-                (config.light_weight, false)
-            } else {
-                // Filler: journaled like any tenant but never submits (its
-                // stream has zero rate), so it only advances the id space.
-                let _ = plane
-                    .register_tenant_with(TenantConfig {
-                        weight: 1,
-                        max_in_flight: 1,
-                        max_retries: 0,
-                    })
-                    .expect("fresh store has a quorum");
-                continue;
-            };
-            let global = plane
-                .register_tenant_with(TenantConfig {
-                    weight,
-                    max_in_flight: config.max_in_flight,
-                    max_retries: config.max_retries,
-                })
-                .expect("fresh store has a quorum");
-            active.push(ActiveTenant { global, heavy });
-        }
-        active
-    }
-
-    fn run_inner(mut self, plan: Option<&FailurePlan>) -> ShardedReport {
-        let cfg = self.config.clone();
-        assert!(cfg.num_shards > 0, "sharded simulation needs at least one shard");
-        let scheduler = HybridScheduler::with_warm_start(SchedulerConfig {
-            nsga2: cfg.nsga2,
-            preference: cfg.preference,
             ..SchedulerConfig::default()
-        });
-        let mut plane = ShardedControlPlane::new(
-            cfg.num_shards,
-            self.fleet.len(),
-            ScheduleTrigger::new(cfg.trigger_queue_limit, cfg.trigger_interval_s),
-            CalibrationPolicy::Naive,
-            1,
-            cfg.seed ^ 0x51AB,
-        );
-        let active = Self::register_pairs(&cfg, &mut plane);
-        let streams: Vec<TenantArrivalConfig> = active
-            .iter()
-            .map(|_| TenantArrivalConfig {
-                arrival: ArrivalConfig {
-                    mean_rate_per_hour: cfg.rate_per_hour,
-                    diurnal_amplitude: 0.0,
-                    ..Default::default()
-                },
-                mitigation_fraction: 0.3,
-            })
-            .collect();
-        let mut load = MultiTenantLoadGenerator::new(&streams, self.fleet.max_qubits());
-
-        let mut apps: HashMap<GlobalTicket, (TenantId, AppRecord)> = HashMap::new();
-        let mut arrived = vec![0u64; active.len()];
-        let mut infeasible = vec![0u64; active.len()];
-        let mut batches: Vec<ShardedBatch> = Vec::new();
-        let mut completed: Vec<TenantCompletion> = Vec::new();
-        let mut crashes: Vec<ShardedCrashRecord> = Vec::new();
-        let mut crash_schedule: VecDeque<f64> =
-            plan.map(|p| p.crash_times_s.iter().copied().collect()).unwrap_or_default();
-        const DEFAULT_SNAPSHOT_EVERY_BATCHES: usize = 8;
-        let snapshot_every =
-            plan.map_or(DEFAULT_SNAPSHOT_EVERY_BATCHES, |p| p.snapshot_every_batches);
-        let mut snapshots_installed = 0u64;
-
-        let mut t = 0.0f64;
-        while t < cfg.duration_s {
-            let t_next = (t + cfg.step_s).min(cfg.duration_s);
-
-            // 0. Fault injection: kill every shard's leader at each
-            //    scheduled instant in (t, t_next], fail each shard over, and
-            //    verify the per-shard rebuilds and the lease partition.
-            while crash_schedule.front().is_some_and(|&c| c <= t_next) {
-                let crash_t = crash_schedule.pop_front().expect("front checked");
-                let digests = plane.state_digests();
-                let replayed_events: u64 = plane.shards().iter().map(|s| s.replay_backlog()).sum();
-                plane.crash_all_leaders();
-                plane.failover_all().expect("a majority of each shard's replicas survives");
-                let rebuilt = plane.state_digests();
-                crashes.push(ShardedCrashRecord {
-                    t_s: crash_t,
-                    digests_matched: digests
-                        .iter()
-                        .zip(rebuilt.iter())
-                        .map(|(a, b)| a == b)
-                        .collect(),
-                    replayed_events,
-                    allocator_consistent: plane.rebuild_allocator().is_ok(),
-                });
-            }
-
-            // 1. Advance QPU queues to t_next and resolve completions on the
-            //    shard leasing each QPU.
-            self.fleet.advance_to(t_next, &mut self.rng);
-            let resolved =
-                plane.drain_and_note(&mut self.fleet).expect("every shard journal has a quorum");
-            for (ticket, completion) in resolved {
-                let Some((tenant, record)) = apps.remove(&ticket) else { continue };
-                let est = &record.estimates[completion.qpu_index];
-                let jitter = 1.0 + self.rng.gen_range(-0.02..0.02);
-                completed.push(TenantCompletion {
-                    tenant,
-                    app_id: record.app_id,
-                    submit_s: record.submit_s,
-                    waiting_s: completion.record.start_time_s - record.submit_s,
-                    turnaround_s: completion.record.finish_time_s - record.submit_s,
-                    fidelity: (est.fidelity * jitter).clamp(0.0, 1.0),
-                });
-            }
-
-            // 2. Arrivals: each active tenant submits to its home shard
-            //    (routing + spec masking inside the plane, journaled there).
-            for arrival in load.arrivals_in(t, t_next, &mut self.rng) {
-                arrived[arrival.stream] += 1;
-                match build_submission(&self.fleet, &arrival.app) {
-                    Some((spec, record)) => {
-                        let global = active[arrival.stream].global;
-                        let ticket = plane
-                            .submit(global, spec, arrival.app.submit_time_s)
-                            .expect("active tenants are registered; journals have quorums");
-                        apps.insert(ticket, (global, record));
-                    }
-                    None => infeasible[arrival.stream] += 1,
-                }
-            }
-
-            // 3. Per-shard weighted-fair admission, then every due shard
-            //    trigger dispatches its own batch (each journaled on its
-            //    shard).
-            plane.admit(t_next).expect("every shard journal has a quorum");
-            let outcomes = plane
-                .try_dispatch(t_next, &scheduler, &mut self.fleet)
-                .expect("every shard journal has a quorum");
-            for (shard, outcome) in outcomes {
-                for ticket in &outcome.terminal_rejections {
-                    apps.remove(&GlobalTicket { shard, ticket: *ticket });
-                }
-                let batch = &outcome.record;
-                batches.push(ShardedBatch {
-                    shard,
-                    t_s: batch.t_s,
-                    reason: batch.reason,
-                    num_jobs: batch.job_ids.len(),
-                    tenant_jobs: batch
-                        .tenant_jobs
-                        .iter()
-                        .map(|&(local, n)| {
-                            (
-                                plane
-                                    .global_of(shard, local)
-                                    .expect("dispatched tenants are registered"),
-                                n,
-                            )
-                        })
-                        .collect(),
-                    job_ids: batch.job_ids.clone(),
-                });
-                if snapshot_every > 0 && batches.len().is_multiple_of(snapshot_every) {
-                    plane.snapshot_all().expect("every shard journal has a quorum");
-                    snapshots_installed += 1;
-                }
-            }
-
-            t = t_next;
-        }
-
-        let tenants = active
-            .iter()
-            .enumerate()
-            .map(|(i, at)| TenantOutcome {
-                tenant: at.global,
-                arrived: arrived[i],
-                infeasible: infeasible[i],
-                stats: plane.tenant_stats(at.global).expect("active tenants are registered"),
-            })
-            .collect();
-        ShardedReport {
-            num_shards: cfg.num_shards,
-            registered_tenants: plane.tenant_configs_global().len(),
-            heavy_tenants: active.iter().filter(|a| a.heavy).map(|a| a.global).collect(),
-            light_tenants: active.iter().filter(|a| !a.heavy).map(|a| a.global).collect(),
-            batches,
-            tenants,
-            completed,
-            crashes,
-            snapshots_installed,
-            final_digests: plane.state_digests(),
-            final_states: plane.encoded_states(),
-        }
+        },
+        ..scenario
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::run;
+    use std::collections::BTreeSet;
 
     #[test]
     fn every_shard_gets_one_heavy_and_one_light_active_tenant() {
-        let cfg = ShardedSimConfig { num_shards: 4, ..ShardedSimConfig::default() };
-        let mut plane = ShardedControlPlane::new(
-            4,
-            8,
-            ScheduleTrigger::new(12, 45.0),
-            CalibrationPolicy::Naive,
-            1,
-            7,
-        );
-        let active = ShardedSimulation::register_pairs(&cfg, &mut plane);
+        let scenario = pairs(4, 300.0, 2025);
+        let active: BTreeSet<usize> = scenario.arrivals.iter().map(|a| a.stream).collect();
         assert_eq!(active.len(), 8, "one heavy + one light per shard");
         let mut per_shard = vec![(0usize, 0usize); 4];
-        for tenant in &active {
-            let (shard, _) = plane.placement_of(tenant.global).expect("registered");
-            if tenant.heavy {
+        for &tenant in &active {
+            let shard = shard_of_global(tenant as TenantId, 4);
+            if scenario.tenants[tenant].config.weight == HEAVY_WEIGHT {
                 per_shard[shard].0 += 1;
             } else {
                 per_shard[shard].1 += 1;
@@ -506,11 +99,11 @@ mod tests {
 
     #[test]
     fn sharded_run_dispatches_on_every_shard_and_is_deterministic() {
-        let cfg = ShardedSimConfig { duration_s: 200.0, ..ShardedSimConfig::default() };
-        let a = ShardedSimulation::with_default_fleet(cfg.clone()).run();
-        let b = ShardedSimulation::with_default_fleet(cfg).run();
+        let scenario = pairs(2, 200.0, 2025);
+        let a = run(&scenario, None);
+        let b = run(&scenario, None);
         assert!(!a.batches.is_empty());
-        for shard in 0..a.num_shards {
+        for shard in 0..scenario.shards {
             assert!(
                 a.batches.iter().any(|batch| batch.shard == shard),
                 "shard {shard} never dispatched"

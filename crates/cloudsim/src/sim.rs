@@ -1,131 +1,179 @@
-//! The quantum-cloud discrete-time simulation (§8.2): synthetic hybrid
-//! applications arrive following the measured IBM load and are submitted to
-//! the *journaled* batch execution engine (a [`ReplicatedControlPlane`], the
-//! same control plane the orchestrator uses, so chaos coverage extends to the
-//! baseline simulations). Under the Qonductor policy the engine's
-//! `ScheduleTrigger` gates every NSGA-II + MCDM invocation and dispatches
-//! whole batches onto the fleet queues; the FCFS / least-busy baselines
-//! place each arrival directly through the engine's (journaled)
-//! direct-dispatch path. Queues advance in simulated time and the end-to-end
-//! metrics of §8.1 (fidelity, completion time, utilization) are collected
-//! over time.
+//! The quantum-cloud discrete-time simulation (§8.2): one event loop that
+//! drives the same [`ShardedControlPlane`] the orchestrator serves jobs
+//! through (one shard unless the scenario asks for more), so every
+//! submission, admission, dispatch, re-estimation, lease, and completion rides
+//! the quorum-replicated journal and the chaos harness covers every scenario.
 //!
-//! Under [`CalibrationPolicy::SplitAtBoundary`] the simulation also exercises
-//! the §7 calibration-crossover path end-to-end: batch plans that straddle a
-//! recalibration boundary are split, the deferred jobs are re-estimated
-//! against the post-boundary snapshot, and every completion records the
-//! *fidelity estimation error* — the gap between the estimate the scheduler
-//! placed with and the estimate recomputed from the calibration actually in
-//! force when the job ran.
+//! A [`Scenario`] fixes the fleet, the tenants, and a pre-generated
+//! time-sorted arrival list; [`run`] steps simulated time — crash and fail
+//! over, advance the fleet, account completions, submit, autoscale, admit,
+//! re-estimate, dispatch, plan ahead, checkpoint, sample — and returns one
+//! [`Report`].
+//!
+//! RNG rule: arrivals are drawn before the run (by the scenario builders),
+//! while calibration drift and completion jitter each draw from their own
+//! seeded stream. Two runs of one seed that differ only in policy therefore
+//! face the identical workload and calibration trajectory.
 
 use crate::estimates::{self, FastEstimate};
-use crate::failover::{BaselineChaosReport, CrashRecord, FailurePlan};
-use crate::load::{ArrivalConfig, HybridApplication, LoadGenerator};
-use qonductor_backend::Fleet;
+use crate::failover::{Crash, FailurePlan};
+use crate::load::{
+    ArrivalConfig, HybridApplication, MultiTenantLoadGenerator, StreamArrival, TenantArrivalConfig,
+};
+use qonductor_backend::{Fleet, FleetMember, JobQueue, Qpu, QpuModel, ResourceClass};
 use qonductor_circuit::CircuitMetrics;
-use qonductor_core::jobmanager::{BatchRecord, CalibrationPolicy, JobId, JobSpec};
-use qonductor_core::replication::ReplicatedControlPlane;
-use qonductor_core::submission::{TenantConfig, TicketId};
+use qonductor_core::jobmanager::{BatchRecord, CalibrationPolicy, JobId, JobSpec, TenantId};
+use qonductor_core::sharding::{GlobalTicket, ShardedControlPlane};
+use qonductor_core::submission::{RejectReason, SloClass, TenantConfig, TenantStats, TicketStatus};
+use qonductor_core::{Autoscaler, AutoscalerConfig, ScalingDecision};
+use qonductor_mitigation::{knitting, MitigationStack};
 use qonductor_scheduler::{
-    HybridScheduler, Nsga2Config, Objectives, Preference, ScheduleTrigger, SchedulerConfig,
+    HybridScheduler, Nsga2Config, Objectives, ScheduleTrigger, SchedulerConfig, TriggerReason,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
-/// The scheduling policy driving the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Policy {
-    /// The Qonductor hybrid scheduler (NSGA-II + MCDM) with a given preference.
-    Qonductor {
-        /// MCDM objective preference.
-        preference: Preference,
-    },
+/// How admitted jobs reach the fleet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// Trigger-gated NSGA-II + MCDM batches, with the scenario scheduler's
+    /// preference.
+    Qonductor,
     /// First-come-first-serve onto the highest-fidelity feasible QPU — the
     /// "standard practice in the current quantum cloud" baseline.
     Fcfs,
-    /// First-come-first-serve onto the least-busy feasible QPU (IBM `least_busy`).
+    /// First-come-first-serve onto the least-busy feasible QPU (IBM
+    /// `least_busy`).
     LeastBusy,
 }
 
-/// Simulation configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SimulationConfig {
-    /// Simulated duration in seconds (paper: one hour).
-    pub duration_s: f64,
-    /// Simulation step in seconds.
-    pub step_s: f64,
-    /// Arrival process configuration.
-    pub arrival: ArrivalConfig,
-    /// Fraction of applications using error mitigation (paper: 50%).
-    pub mitigation_fraction: f64,
-    /// Scheduling policy.
-    pub policy: Policy,
-    /// Queue-size trigger threshold of the Qonductor scheduler.
-    pub trigger_queue_limit: usize,
-    /// Time-based trigger interval (seconds) of the Qonductor scheduler.
-    pub trigger_interval_s: f64,
-    /// Metrics sampling interval in seconds.
-    pub metrics_interval_s: f64,
-    /// NSGA-II configuration used by the Qonductor policy.
-    pub nsga2: Nsga2Config,
-    /// How the batch engine treats plans that cross a recalibration boundary
-    /// (§7): [`CalibrationPolicy::Naive`] dispatches them with stale
-    /// estimates, [`CalibrationPolicy::SplitAtBoundary`] partitions them and
-    /// re-estimates the post-boundary jobs.
+/// One tenant of a scenario. Tenants register in order, so the `i`-th
+/// tenant's global id is `i`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Tenant {
+    /// DRR weight, in-flight cap, and retry budget.
+    pub config: TenantConfig,
+    /// Deadline class: its jobs ride the escalation lane, and its
+    /// applications that fit no QPU are cut into fragments instead of
+    /// dropped.
+    pub slo: Option<SloClass>,
+}
+
+/// Everything one simulation run needs.
+#[derive(Debug, Clone)]
+pub struct Scenario {
+    /// The QPU fleet (cloned per run).
+    pub fleet: Fleet,
+    /// Control-plane shards; tenants hash across them and QPUs are leased
+    /// round-robin.
+    pub shards: usize,
+    /// The tenants, in registration order.
+    pub tenants: Vec<Tenant>,
+    /// Pre-generated arrivals sorted by submission time; `stream` indexes
+    /// [`Self::tenants`].
+    pub arrivals: Vec<StreamArrival>,
+    /// Every shard's batch trigger (queue-size limit, interval, SLO margin).
+    pub trigger: ScheduleTrigger,
+    /// NSGA-II + MCDM configuration of the batch scheduler.
+    pub scheduler: SchedulerConfig,
+    /// How batches that cross a recalibration boundary are treated (§7).
     pub calibration: CalibrationPolicy,
-    /// Plan-ahead pipelining: after each dispatch, speculatively schedule the
-    /// next step's batch against a snapshot of the live pool; the plan is
-    /// adopted at the next trigger firing only if its input digest still
-    /// matches (otherwise it is discarded and the cycle runs live). Off by
-    /// default; dispatches are byte-identical either way.
-    #[serde(default)]
-    pub pipeline_planning: bool,
-    /// Weight of the NSGA-II recalibration-boundary penalty
-    /// ([`SchedulerConfig::boundary_penalty_weight`]); `0.0` disables it.
-    #[serde(default)]
-    pub boundary_penalty_weight: f64,
-    /// Weight of the federation cost lane
-    /// ([`SchedulerConfig::cost_weight`]): when > 0 the batch engine feeds
-    /// the fleet's per-QPU shot prices into the optimizer and placement
-    /// trades monetary cost against turnaround. `0.0` (the default) keeps
-    /// every outcome bit-identical to the cost-free path.
-    #[serde(default)]
-    pub cost_weight: f64,
-    /// RNG seed.
+    /// Batch scheduling or one of the direct-placement baselines.
+    pub placement: Placement,
+    /// After each step, speculatively schedule the next step's batch; the
+    /// plan is adopted only if its input digest still matches, so dispatches
+    /// are byte-identical either way.
+    pub plan_ahead: bool,
+    /// Elastic `Simulator`-class capacity, grown and shrunk with the arrival
+    /// rate.
+    pub autoscaler: Option<AutoscalerConfig>,
+    /// Simulated duration (seconds).
+    pub duration_s: f64,
+    /// Simulation step (seconds).
+    pub step_s: f64,
+    /// Metrics sampling interval (seconds).
+    pub sample_every_s: f64,
+    /// Seed of the drift, jitter, and elastic-device streams.
     pub seed: u64,
 }
 
-impl Default for SimulationConfig {
-    fn default() -> Self {
-        SimulationConfig {
-            duration_s: 3600.0,
-            step_s: 10.0,
-            arrival: ArrivalConfig::default(),
-            mitigation_fraction: 0.5,
-            policy: Policy::Qonductor { preference: Preference::balanced() },
-            trigger_queue_limit: 100,
-            trigger_interval_s: 120.0,
-            metrics_interval_s: 60.0,
-            nsga2: Nsga2Config {
-                population_size: 40,
-                max_generations: 40,
-                max_evaluations: 6000,
-                num_threads: 4,
-                ..Nsga2Config::default()
+/// The default 8-QPU IBM-like fleet of a seed.
+pub fn default_fleet(seed: u64) -> Fleet {
+    Fleet::ibm_default(&mut StdRng::seed_from_u64(seed ^ 0xF1EE7))
+}
+
+impl Scenario {
+    /// Tenants submitting independent Poisson streams to `fleet`. Arrivals
+    /// are drawn once, step window by step window, from their own seeded
+    /// stream. Everything else takes the paper's defaults: one shard, a
+    /// 100-job / 120 s trigger, balanced NSGA-II + MCDM batches,
+    /// calibration-naive dispatch, and a sample every 60 s.
+    pub fn poisson(
+        fleet: Fleet,
+        tenants: Vec<(Tenant, TenantArrivalConfig)>,
+        duration_s: f64,
+        step_s: f64,
+        seed: u64,
+    ) -> Self {
+        let streams: Vec<TenantArrivalConfig> = tenants.iter().map(|(_, s)| *s).collect();
+        let mut load = MultiTenantLoadGenerator::new(&streams, fleet.max_qubits());
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0A22_17A1);
+        let mut arrivals = Vec::new();
+        let mut t = 0.0f64;
+        while t < duration_s {
+            let t_next = (t + step_s).min(duration_s);
+            arrivals.extend(load.arrivals_in(t, t_next, &mut rng));
+            t = t_next;
+        }
+        Scenario {
+            fleet,
+            shards: 1,
+            tenants: tenants.into_iter().map(|(tenant, _)| tenant).collect(),
+            arrivals,
+            trigger: ScheduleTrigger::new(100, 120.0),
+            scheduler: SchedulerConfig {
+                nsga2: Nsga2Config {
+                    population_size: 40,
+                    max_generations: 40,
+                    max_evaluations: 6000,
+                    num_threads: 4,
+                    ..Nsga2Config::default()
+                },
+                ..SchedulerConfig::default()
             },
             calibration: CalibrationPolicy::Naive,
-            pipeline_planning: false,
-            boundary_penalty_weight: 0.0,
-            cost_weight: 0.0,
-            seed: 2024,
+            placement: Placement::Qonductor,
+            plan_ahead: false,
+            autoscaler: None,
+            duration_s,
+            step_s,
+            sample_every_s: 60.0,
+            seed,
         }
+    }
+
+    /// The paper's cloud (§8.2): one unthrottled tenant on `fleet` (the
+    /// 8-QPU [`default_fleet`] in the evaluation) in 10 s steps, with
+    /// `mitigation_fraction` of its arrivals requesting error mitigation.
+    pub fn paper(
+        fleet: Fleet,
+        arrival: ArrivalConfig,
+        mitigation_fraction: f64,
+        duration_s: f64,
+        seed: u64,
+    ) -> Self {
+        let tenant = Tenant {
+            config: TenantConfig { weight: 1, max_in_flight: usize::MAX, max_retries: 0 },
+            slo: None,
+        };
+        let stream = TenantArrivalConfig { arrival, mitigation_fraction };
+        Scenario::poisson(fleet, vec![(tenant, stream)], duration_s, 10.0, seed)
     }
 }
 
-/// One sampled point of the simulation's time series (Figures 6 and 9b).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// One sampled point of the time series (Figures 6 and 9b).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimePoint {
     /// Simulated time of the sample (seconds).
     pub t_s: f64,
@@ -135,14 +183,14 @@ pub struct TimePoint {
     pub mean_completion_s: f64,
     /// Mean QPU utilization across the fleet, in [0, 1].
     pub mean_utilization: f64,
-    /// Number of jobs currently pending in the scheduler's queue.
+    /// Jobs pending in the schedulers' pools.
     pub scheduler_queue_len: usize,
-    /// Number of applications completed so far.
+    /// Applications completed so far.
     pub completed: usize,
 }
 
 /// Per-scheduling-cycle statistics (Figures 8a, 8b, 10a).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CycleRecord {
     /// Simulated time of the cycle.
     pub t_s: f64,
@@ -166,85 +214,143 @@ pub struct CycleRecord {
     pub front_min_exec_s: f64,
     /// Maximum mean execution time over the Pareto front (seconds).
     pub front_max_exec_s: f64,
-    /// Scheduler stage runtimes (seconds): pre-processing, optimization, selection.
+    /// Scheduler stage runtimes (wall-clock seconds): pre-processing,
+    /// optimization, selection.
     pub stage_runtimes_s: [f64; 3],
 }
 
-/// One completed application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CompletedApp {
+/// One completed application (all fragments, for a cut one).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Completion {
+    /// Global id of the submitting tenant.
+    pub tenant: TenantId,
     /// Application id.
     pub app_id: u64,
-    /// Index of the QPU it ran on.
+    /// QPU the (last) job ran on.
     pub qpu_index: usize,
     /// Submission time (s).
     pub submit_s: f64,
-    /// Completion time = finish − submit (s).
+    /// Completion time = last finish − submit (s).
     pub completion_s: f64,
-    /// Waiting time before execution started (s).
+    /// Waiting time before the first execution started (s).
     pub waiting_s: f64,
-    /// Quantum execution time (s).
+    /// Quantum execution time, summed over fragments (s).
     pub execution_s: f64,
-    /// Achieved fidelity.
+    /// Achieved fidelity (the product over fragments).
     pub fidelity: f64,
-    /// Absolute gap between the fidelity estimate the job was *scheduled*
-    /// with and the estimate recomputed from the calibration in force when
-    /// it finished — the realized cost of dispatching across a drift cycle
+    /// Largest gap between the fidelity estimate a job was scheduled with
+    /// and the estimate recomputed from the calibration in force when it
+    /// finished — the realized cost of dispatching across a drift cycle
     /// with stale estimates (0 when no boundary intervened).
     pub fidelity_error: f64,
     /// Whether the application used error mitigation.
     pub mitigated: bool,
-    /// Monetary cost of the execution: `shots × cost_per_shot` of the QPU it
-    /// ran on (federation accounting; 0-priced fleets report 0).
-    #[serde(default)]
+    /// Monetary cost: `shots × cost_per_shot`, summed over fragments.
     pub cost: f64,
 }
 
-/// One trigger-gated batch dispatch as seen by the simulation (ids only; the
-/// chaos and drift suites compare these across runs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DispatchRecord {
+/// One dispatched batch.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Batch {
+    /// The shard that dispatched it.
+    pub shard: usize,
     /// Simulated dispatch time.
     pub t_s: f64,
-    /// Every job handed to the scheduler.
+    /// Why the shard's trigger fired.
+    pub reason: TriggerReason,
+    /// Shard-local job ids handed to the scheduler.
     pub job_ids: Vec<JobId>,
     /// Jobs actually enqueued (placements minus the deferred set).
     pub enqueued: Vec<JobId>,
     /// Jobs pulled out at a recalibration boundary (§7 split decision).
     pub deferred: Vec<JobId>,
+    /// `(global tenant, job count)` pairs, ascending.
+    pub tenant_jobs: Vec<(TenantId, usize)>,
     /// Fleet-wide calibration epoch at dispatch.
     pub fleet_epoch: u64,
 }
 
-/// Full simulation report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SimulationReport {
+/// One tenant's end-of-run outcome.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TenantOutcome {
+    /// Global tenant id.
+    pub tenant: TenantId,
+    /// Applications that arrived.
+    pub arrived: u64,
+    /// Applications that fit no QPU and were never submitted (the cutter
+    /// could not save them, or the tenant has no SLO class).
+    pub infeasible: u64,
+    /// Applications cut into fragments because they fit no QPU whole.
+    pub knit: u64,
+    /// Submission-service accounting (admissions, completions, waits).
+    pub stats: TenantStats,
+}
+
+/// The outcome of one (possibly fault-injected) run.
+#[derive(Debug, Clone, Default)]
+pub struct Report {
+    /// Per-tenant outcomes, by global id.
+    pub tenants: Vec<TenantOutcome>,
+    /// Every dispatched batch (empty for the direct-placement baselines).
+    pub batches: Vec<Batch>,
+    /// Per-scheduling-cycle statistics.
+    pub cycles: Vec<CycleRecord>,
+    /// Every completed application, in completion order.
+    pub completed: Vec<Completion>,
+    /// Every terminally rejected ticket: `(global tenant, reason)`.
+    pub rejections: Vec<(TenantId, RejectReason)>,
     /// Time series of aggregate metrics.
     pub timeline: Vec<TimePoint>,
-    /// Per-scheduling-cycle records (empty for the FCFS/least-busy policies).
-    pub cycles: Vec<CycleRecord>,
-    /// Every trigger-gated dispatch with its §7 split decision (empty for
-    /// the FCFS/least-busy policies).
-    pub dispatches: Vec<DispatchRecord>,
-    /// All completed applications.
-    pub completed: Vec<CompletedApp>,
-    /// Total busy seconds per QPU (index-aligned with the fleet), Figure 8c.
+    /// Total busy seconds per QPU of the final fleet, Figure 8c.
     pub qpu_busy_s: Vec<f64>,
     /// QPU names, index-aligned with `qpu_busy_s`.
     pub qpu_names: Vec<String>,
-    /// Number of applications that arrived.
-    pub arrived: usize,
-    /// Number of applications rejected (no feasible QPU).
-    pub rejected: usize,
-    /// Pending jobs whose estimates were recomputed after a drift cycle.
+    /// Pooled jobs whose estimates were recomputed after a drift cycle.
     pub reestimated_jobs: usize,
-    /// Batches dispatched from an adopted plan-ahead speculative schedule
-    /// (0 unless [`SimulationConfig::pipeline_planning`] is on).
-    #[serde(default)]
+    /// Batches dispatched from an adopted plan-ahead schedule.
     pub speculative_batches: usize,
+    /// Elastic QPUs provisioned.
+    pub provisioned: u64,
+    /// Elastic QPUs retired.
+    pub retired: u64,
+    /// One record per injected crash.
+    pub crashes: Vec<Crash>,
+    /// Snapshots installed (journal compactions).
+    pub snapshots_installed: u64,
+    /// Per-shard incremental state digests at the end of the run
+    /// (comparable between runs that snapshot on the same schedule).
+    pub final_digests: Vec<String>,
+    /// Per-shard byte-for-byte encoded states at the end of the run (the
+    /// `encode_state` oracle).
+    pub final_states: Vec<String>,
 }
 
-impl SimulationReport {
+impl Report {
+    /// A tenant's outcome by global id.
+    pub fn tenant(&self, tenant: TenantId) -> &TenantOutcome {
+        &self.tenants[tenant as usize]
+    }
+
+    /// Applications that arrived across every tenant.
+    pub fn arrived(&self) -> u64 {
+        self.tenants.iter().map(|t| t.arrived).sum()
+    }
+
+    /// Applications never submitted plus tickets terminally rejected.
+    pub fn rejected(&self) -> u64 {
+        self.tenants.iter().map(|t| t.infeasible).sum::<u64>() + self.rejections.len() as u64
+    }
+
+    /// Tickets terminally rejected for `reason`.
+    pub fn rejected_for(&self, reason: RejectReason) -> usize {
+        self.rejections.iter().filter(|(_, r)| *r == reason).count()
+    }
+
+    /// Jobs handed to the scheduler across all batches.
+    pub fn dispatched_jobs(&self) -> usize {
+        self.batches.iter().map(|b| b.job_ids.len()).sum()
+    }
+
     /// Mean fidelity over all completed applications.
     pub fn mean_fidelity(&self) -> f64 {
         mean(self.completed.iter().map(|c| c.fidelity))
@@ -255,24 +361,17 @@ impl SimulationReport {
         mean(self.completed.iter().map(|c| c.completion_s))
     }
 
-    /// Mean execution time over all completed applications (seconds).
-    pub fn mean_execution_s(&self) -> f64 {
-        mean(self.completed.iter().map(|c| c.execution_s))
-    }
-
     /// Final mean QPU utilization.
     pub fn mean_utilization(&self) -> f64 {
-        self.timeline.last().map(|p| p.mean_utilization).unwrap_or(0.0)
+        self.timeline.last().map_or(0.0, |p| p.mean_utilization)
     }
 
-    /// Mean absolute fidelity estimation error over all completed
-    /// applications (see [`CompletedApp::fidelity_error`]).
+    /// Mean fidelity estimation error over all completed applications.
     pub fn mean_fidelity_error(&self) -> f64 {
         mean(self.completed.iter().map(|c| c.fidelity_error))
     }
 
-    /// Total monetary cost across all completed applications
-    /// (see [`CompletedApp::cost`]).
+    /// Total monetary cost across all completed applications.
     pub fn total_cost(&self) -> f64 {
         self.completed.iter().map(|c| c.cost).sum()
     }
@@ -282,19 +381,19 @@ impl SimulationReport {
         mean(self.completed.iter().map(|c| c.cost))
     }
 
-    /// Number of dispatches whose plan crossed a recalibration boundary.
+    /// Batches whose plan crossed a recalibration boundary.
     pub fn split_batches(&self) -> usize {
-        self.dispatches.iter().filter(|d| !d.deferred.is_empty()).count()
+        self.batches.iter().filter(|b| !b.deferred.is_empty()).count()
     }
 
-    /// Total boundary deferrals across all dispatches (a job deferred twice
-    /// counts twice).
+    /// Boundary deferrals across all batches (a job deferred twice counts
+    /// twice).
     pub fn deferred_total(&self) -> usize {
-        self.dispatches.iter().map(|d| d.deferred.len()).sum()
+        self.batches.iter().map(|b| b.deferred.len()).sum()
     }
 
-    /// Maximum relative load difference between any two QPUs (Figure 8c's
-    /// "maximum load difference"): `(max − min) / max` over per-QPU busy time.
+    /// Figure 8c's maximum load difference: `(max − min) / max` over
+    /// per-QPU busy time.
     pub fn max_load_difference(&self) -> f64 {
         let max = self.qpu_busy_s.iter().cloned().fold(0.0, f64::max);
         let min = self.qpu_busy_s.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -304,15 +403,106 @@ impl SimulationReport {
             (max - min) / max
         }
     }
+
+    /// A tenant's share of all jobs handed to the scheduler, in `[0, 1]`.
+    pub fn admitted_share(&self, tenant: TenantId) -> f64 {
+        let total = self.dispatched_jobs();
+        if total == 0 {
+            return 0.0;
+        }
+        let own: usize = self
+            .batches
+            .iter()
+            .flat_map(|b| &b.tenant_jobs)
+            .filter(|(t, _)| *t == tenant)
+            .map(|(_, n)| n)
+            .sum();
+        own as f64 / total as f64
+    }
+
+    /// Per-tenant accounting imbalance, summed: |submitted − (queued + in
+    /// flight + completed + rejected)|. Zero iff every ledger balances — a
+    /// lost ticket and a double-resolved one both make it non-zero.
+    pub fn lost_tickets(&self) -> u64 {
+        self.tenants
+            .iter()
+            .map(|t| {
+                let s = t.stats;
+                s.submitted
+                    .abs_diff(s.queued as u64 + s.in_flight as u64 + s.completed + s.rejected)
+            })
+            .sum()
+    }
+
+    /// `(shard, job id)` pairs handed to the scheduler more than once. Job
+    /// ids are shard-local, so the pair is the unique key.
+    pub fn double_dispatched_jobs(&self) -> Vec<(usize, JobId)> {
+        let mut counts: HashMap<(usize, JobId), usize> = HashMap::new();
+        for batch in &self.batches {
+            for &job_id in &batch.job_ids {
+                *counts.entry((batch.shard, job_id)).or_insert(0) += 1;
+            }
+        }
+        let mut duplicated: Vec<_> =
+            counts.into_iter().filter(|&(_, n)| n > 1).map(|(key, _)| key).collect();
+        duplicated.sort_unstable();
+        duplicated
+    }
+
+    /// `true` iff every failover rebuilt every shard's pre-crash state.
+    pub fn all_digests_matched(&self) -> bool {
+        self.crashes.iter().all(|c| c.digests_matched)
+    }
+
+    /// `true` iff the lease allocator rebuilt conflict-free after every crash.
+    pub fn allocator_always_consistent(&self) -> bool {
+        self.crashes.iter().all(|c| c.allocator_consistent)
+    }
+
+    /// Completion times of a tenant's completed applications, ascending.
+    fn turnarounds(&self, tenant: TenantId) -> Vec<f64> {
+        let mut own: Vec<f64> =
+            self.completed.iter().filter(|c| c.tenant == tenant).map(|c| c.completion_s).collect();
+        own.sort_by(f64::total_cmp);
+        own
+    }
+
+    /// A tenant's applications completed within `deadline_s` of submission.
+    pub fn deadline_hits(&self, tenant: TenantId, deadline_s: f64) -> u64 {
+        self.turnarounds(tenant).iter().filter(|&&t| t <= deadline_s).count() as u64
+    }
+
+    /// `deadline_hits / arrived` — unfinished, rejected, and late
+    /// applications all count as misses, so "p95 deadlines held" is exactly
+    /// `deadline_hit_rate >= 0.95` (1 with no arrivals).
+    pub fn deadline_hit_rate(&self, tenant: TenantId, deadline_s: f64) -> f64 {
+        let arrived = self.tenant(tenant).arrived;
+        if arrived == 0 {
+            1.0
+        } else {
+            self.deadline_hits(tenant, deadline_s) as f64 / arrived as f64
+        }
+    }
+
+    /// A tenant's completed applications.
+    pub fn completions(&self, tenant: TenantId) -> usize {
+        self.completed.iter().filter(|c| c.tenant == tenant).count()
+    }
+
+    /// 95th-percentile completion time of a tenant's completed applications
+    /// (seconds; 0 with none).
+    pub fn p95_turnaround_s(&self, tenant: TenantId) -> f64 {
+        let sorted = self.turnarounds(tenant);
+        if sorted.is_empty() {
+            return 0.0;
+        }
+        let idx = ((sorted.len() as f64 * 0.95).ceil() as usize).max(1) - 1;
+        sorted[idx.min(sorted.len() - 1)]
+    }
 }
 
 fn mean(iter: impl Iterator<Item = f64>) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for v in iter {
-        sum += v;
-        n += 1;
-    }
+    let (sum, n) = iter.fold((0.0, 0usize), |(sum, n), v| (sum + v, n + 1));
     if n == 0 {
         0.0
     } else {
@@ -320,360 +510,373 @@ fn mean(iter: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-/// Simulation-side bookkeeping for one application submitted to the shared
-/// batch engine, keyed by the submission-service ticket.
-#[derive(Debug, Clone)]
-pub(crate) struct AppRecord {
-    pub(crate) app_id: u64,
-    pub(crate) submit_s: f64,
-    pub(crate) mitigated: bool,
-    /// Per-QPU estimates (index-aligned with the fleet) the job is currently
-    /// scheduled against — refreshed when the job is re-estimated after a
-    /// drift cycle.
-    pub(crate) estimates: Vec<FastEstimate>,
-    /// The application itself (circuit + mitigation stack), kept so the
-    /// estimates can be recomputed against a fresh calibration snapshot.
-    pub(crate) app: HybridApplication,
+/// One submitted job: a whole application or one fragment of a cut one.
+struct Job {
+    app_id: u64,
+    /// Per-QPU estimates the job is scheduled against (refreshed when it is
+    /// re-estimated after a drift cycle).
+    estimates: Vec<FastEstimate>,
+    /// The circuit and mitigation stack, kept for re-estimation.
+    app: HybridApplication,
 }
 
-/// The cloud simulation engine.
-pub struct CloudSimulation {
-    config: SimulationConfig,
-    fleet: Fleet,
-    rng: StdRng,
+/// An application with fragments still outstanding, and what the finished
+/// ones measured so far.
+struct Pending {
+    outstanding: usize,
+    rejected: bool,
+    first_start_s: f64,
+    last_finish_s: f64,
+    done: Completion,
 }
 
-impl CloudSimulation {
-    /// Create a simulation over an explicit fleet.
-    pub fn new(config: SimulationConfig, fleet: Fleet) -> Self {
-        let rng = StdRng::seed_from_u64(config.seed);
-        CloudSimulation { config, fleet, rng }
+const DEFAULT_SNAPSHOT_EVERY_BATCHES: usize = 8;
+
+/// Run a scenario to completion. With a failure plan, every shard's leader
+/// is killed at each scheduled instant and the shards fail over to replicas
+/// rebuilt from `snapshot + log replay`; without one the run checkpoints
+/// every 8 batches.
+pub fn run(scenario: &Scenario, failures: Option<&FailurePlan>) -> Report {
+    let sc = scenario;
+    let mut fleet = sc.fleet.clone();
+    let base_len = fleet.len();
+    let mut drift_rng = StdRng::seed_from_u64(sc.seed ^ 0x00D8_1F7C);
+    let mut jitter_rng = StdRng::seed_from_u64(sc.seed);
+    let mut elastic_rng = StdRng::seed_from_u64(sc.seed ^ 0xE1A5);
+    let mut plane = ShardedControlPlane::new(
+        sc.shards,
+        base_len,
+        sc.trigger,
+        sc.calibration,
+        1,
+        sc.seed ^ 0x51AB,
+    );
+    for (index, tenant) in sc.tenants.iter().enumerate() {
+        let global = match tenant.slo {
+            Some(slo) => plane.register_tenant_with_slo(tenant.config, slo),
+            None => plane.register_tenant_with(tenant.config),
+        }
+        .expect("fresh stores have quorums");
+        debug_assert_eq!(global as usize, index, "global ids follow registration order");
     }
+    // Warm-started like the orchestrator: each cycle seeds NSGA-II from the
+    // previous cycle's Pareto front.
+    let scheduler = (sc.placement == Placement::Qonductor)
+        .then(|| HybridScheduler::with_warm_start(sc.scheduler));
+    let mut scaler = sc.autoscaler.map(Autoscaler::new);
+    let mut crash_schedule: VecDeque<f64> =
+        failures.map(|p| p.crash_times_s.iter().copied().collect()).unwrap_or_default();
+    let snapshot_every =
+        failures.map_or(DEFAULT_SNAPSHOT_EVERY_BATCHES, |p| p.snapshot_every_batches);
 
-    /// Create a simulation over the default 8-QPU IBM-like fleet.
-    pub fn with_default_fleet(config: SimulationConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xF1EE7);
-        let fleet = Fleet::ibm_default(&mut rng);
-        Self::new(config, fleet)
-    }
+    let mut jobs: HashMap<GlobalTicket, Job> = HashMap::new();
+    let mut apps: HashMap<u64, Pending> = HashMap::new();
+    let mut counts = vec![(0u64, 0u64, 0u64); sc.tenants.len()]; // arrived, infeasible, knit
+    let mut next_arrival = 0usize;
+    let mut next_sample_s = 0.0;
+    let mut report = Report::default();
 
-    /// Create a simulation over the default fleet with every device
-    /// recalibrating every `period_s` seconds — the drifting-hardware
-    /// scenario, where boundaries fall inside the simulated window.
-    pub fn with_drifting_fleet(config: SimulationConfig, period_s: f64) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xF1EE7);
-        let fleet = Fleet::ibm_default(&mut rng).with_calibration_period(period_s, 0.0);
-        Self::new(config, fleet)
-    }
+    let mut t = 0.0f64;
+    while t < sc.duration_s {
+        let t_next = (t + sc.step_s).min(sc.duration_s);
 
-    /// Run the simulation to completion and produce the report.
-    pub fn run(self) -> SimulationReport {
-        self.run_inner(None).report
-    }
+        // 1. Crash every shard's leader at each scheduled instant in
+        //    (t, t_next], fail over, and verify the rebuilds.
+        while crash_schedule.front().is_some_and(|&c| c <= t_next) {
+            let t_s = crash_schedule.pop_front().expect("front checked");
+            let digests = plane.state_digests();
+            let old: Vec<usize> = plane.shards().iter().map(|s| s.leader().unwrap_or(0)).collect();
+            let replayed_events = plane.shards().iter().map(|s| s.replay_backlog()).sum();
+            plane.crash_all_leaders();
+            plane.failover_all().expect("a majority of each shard's replicas survives");
+            report.crashes.push(Crash {
+                t_s,
+                leaders: old
+                    .into_iter()
+                    .zip(plane.shards())
+                    .map(|(old, shard)| (old, shard.leader().unwrap_or(old)))
+                    .collect(),
+                replayed_events,
+                digests_matched: plane.state_digests() == digests,
+                allocator_consistent: plane.rebuild_allocator().is_ok(),
+            });
+        }
 
-    /// Run the simulation under fault injection: at each instant of the
-    /// plan's crash schedule the control-plane leader is killed (its volatile
-    /// job state dies with it), a new leader is elected, and the job state is
-    /// rebuilt from the replicated `snapshot + log replay` before the
-    /// simulation continues — the chaos path of the single-tenant baselines.
-    pub fn run_with_failures(self, plan: &FailurePlan) -> BaselineChaosReport {
-        self.run_inner(Some(plan))
-    }
-
-    fn run_inner(mut self, plan: Option<&FailurePlan>) -> BaselineChaosReport {
-        let cfg = self.config;
-        let mut load =
-            LoadGenerator::new(cfg.arrival, self.fleet.max_qubits(), cfg.mitigation_fraction);
-        // Independent seeded streams: arrivals and calibration drift must not
-        // share a generator with completion jitter, whose draw count depends
-        // on the policy under test — two runs of the same seed with
-        // different policies (the drift comparison's arms, the
-        // Qonductor-vs-FCFS studies) then face the *identical* workload and
-        // the identical calibration trajectory, and differ only in
-        // scheduling.
-        let mut arrival_rng = StdRng::seed_from_u64(cfg.seed ^ 0x0A22_17A1);
-        let mut drift_rng = StdRng::seed_from_u64(cfg.seed ^ 0x00D8_1F7C);
-        // The journaled batch execution engine: every submission, admission,
-        // dispatch (batch or direct), re-estimation, and completion rides the
-        // quorum-replicated control-plane log.
-        let mut control = ReplicatedControlPlane::with_policy(
-            ScheduleTrigger::new(cfg.trigger_queue_limit, cfg.trigger_interval_s),
-            cfg.calibration,
-            1,
-            cfg.seed ^ 0xC1A5,
-        );
-        let tenant = control
-            .register_tenant_with(TenantConfig {
-                weight: 1,
-                max_in_flight: usize::MAX,
-                max_retries: 0,
-            })
-            .expect("fresh store has a quorum");
-        let scheduler = match cfg.policy {
-            // Warm-started: each batch cycle seeds NSGA-II from the previous
-            // cycle's Pareto front (like the orchestrator).
-            Policy::Qonductor { preference } => {
-                Some(HybridScheduler::with_warm_start(SchedulerConfig {
-                    nsga2: cfg.nsga2,
-                    preference,
-                    boundary_penalty_weight: cfg.boundary_penalty_weight,
-                    cost_weight: cfg.cost_weight,
-                    ..SchedulerConfig::default()
-                }))
-            }
-            _ => None,
-        };
-
-        // Submission ticket → application bookkeeping (pending and in flight).
-        let mut apps: HashMap<TicketId, AppRecord> = HashMap::new();
-        let mut completed: Vec<CompletedApp> = Vec::new();
-        let mut timeline: Vec<TimePoint> = Vec::new();
-        let mut cycles: Vec<CycleRecord> = Vec::new();
-        let mut dispatches: Vec<DispatchRecord> = Vec::new();
-        let mut arrived = 0usize;
-        let mut rejected = 0usize;
-        let mut reestimated_jobs = 0usize;
-        let mut next_metrics_s = 0.0;
-        let mut crash_schedule: VecDeque<f64> =
-            plan.map(|p| p.crash_times_s.iter().copied().collect()).unwrap_or_default();
-        const DEFAULT_SNAPSHOT_EVERY_BATCHES: usize = 8;
-        let snapshot_every =
-            plan.map_or(DEFAULT_SNAPSHOT_EVERY_BATCHES, |p| p.snapshot_every_batches);
-        let mut crashes: Vec<CrashRecord> = Vec::new();
-        let mut snapshots_installed = 0u64;
-        let mut batches_seen = 0usize;
-        let mut speculative_batches = 0usize;
-
-        let mut t = 0.0f64;
-        while t < cfg.duration_s {
-            let t_next = (t + cfg.step_s).min(cfg.duration_s);
-
-            // 0. Fault injection: kill the leader at every scheduled instant
-            //    in (t, t_next], then fail over and continue on the rebuilt
-            //    replica.
-            while crash_schedule.front().is_some_and(|&c| c <= t_next) {
-                let crash_t = crash_schedule.pop_front().expect("front checked");
-                let digest = control.state_digest();
-                let old_leader = control.leader().unwrap_or(0);
-                let replayed_events = control.replay_backlog();
-                control.crash_leader();
-                control.failover().expect("a majority of control replicas survives");
-                crashes.push(CrashRecord {
-                    t_s: crash_t,
-                    old_leader,
-                    new_leader: control.leader().unwrap_or(old_leader),
-                    replayed_events,
-                    digest_matched: control.state_digest() == digest,
-                });
-            }
-
-            // 1. Advance QPU queues (and calibration drift) to t_next, then
-            //    collect completions, so that jobs arriving in [t, t_next) are
-            //    enqueued at t_next and never start before they were submitted.
-            self.fleet.advance_to(t_next, &mut drift_rng);
-            let epoch = self.fleet.calibration_epoch();
-
-            let done = control.drain_completions(&mut self.fleet);
-            let resolved =
-                control.note_completions(&done).expect("control-plane journal has a quorum");
-            for (ticket, completion) in resolved {
-                let Some(app) = apps.remove(&ticket.ticket) else { continue };
-                let est = &app.estimates[completion.qpu_index];
-                // The estimate the job would get from the calibration in
-                // force at the drain step (within one `step_s` of its actual
-                // finish): the gap is the realized cost of scheduling
-                // against a stale snapshot.
-                let fresh = execution_time_estimate(&self.fleet, &app.app, completion.qpu_index);
-                let fidelity_error =
-                    fresh.map_or(0.0, |fresh| (est.fidelity - fresh.fidelity).abs());
-                let jitter = 1.0 + self.rng.gen_range(-0.02..0.02);
-                let cost = app.app.circuit.shots() as f64
-                    * self.fleet.members()[completion.qpu_index].qpu.cost_per_shot;
-                completed.push(CompletedApp {
-                    app_id: app.app_id,
-                    qpu_index: completion.qpu_index,
-                    submit_s: app.submit_s,
-                    completion_s: completion.record.finish_time_s - app.submit_s,
-                    waiting_s: completion.record.start_time_s - app.submit_s,
-                    execution_s: completion.record.execution_s(),
-                    fidelity: (est.fidelity * jitter).clamp(0.0, 1.0),
-                    fidelity_error,
-                    mitigated: app.mitigated,
-                    cost,
-                });
-            }
-
-            // 2. Arrivals in [t, t_next): non-blocking submission into the
-            //    tenant queue (journaled).
-            for app in load.arrivals_in(t, t_next, &mut arrival_rng) {
-                arrived += 1;
-                match build_submission(&self.fleet, &app) {
-                    Some((spec, record)) => {
-                        let ticket = control
-                            .submit(tenant, spec, app.submit_time_s)
-                            .expect("tenant registered; journal has a quorum");
-                        apps.insert(ticket.ticket, record);
-                    }
-                    None => rejected += 1,
+        // 2. Advance queues and calibration to t_next, then account the
+        //    completions on the shard leasing each QPU — jobs arriving in
+        //    [t, t_next) are enqueued at t_next and never start early.
+        fleet.advance_to(t_next, &mut drift_rng);
+        let epoch = fleet.calibration_epoch();
+        for (ticket, completion) in plane.drain_and_note(&mut fleet).expect("journals have quorums")
+        {
+            let Some(job) = jobs.remove(&ticket) else { continue };
+            let Some(app) = apps.get_mut(&job.app_id) else { continue };
+            let qpu = completion.qpu_index;
+            let (est, member) = (&job.estimates[qpu], &fleet.members()[qpu].qpu);
+            // The estimate from the calibration in force at the drain step:
+            // the gap is the realized cost of scheduling on a stale snapshot.
+            let fresh = (member.num_qubits() >= job.app.circuit.num_qubits())
+                .then(|| estimates::estimate(&job.app.circuit, &job.app.mitigation, member));
+            let jitter = 1.0 + jitter_rng.gen_range(-0.02..0.02);
+            app.outstanding -= 1;
+            app.first_start_s = app.first_start_s.min(completion.record.start_time_s);
+            app.last_finish_s = app.last_finish_s.max(completion.record.finish_time_s);
+            let done = &mut app.done;
+            done.qpu_index = qpu;
+            done.execution_s += completion.record.execution_s();
+            done.fidelity *= (est.fidelity * jitter).clamp(0.0, 1.0);
+            done.fidelity_error = done
+                .fidelity_error
+                .max(fresh.map_or(0.0, |fresh| (est.fidelity - fresh.fidelity).abs()));
+            done.cost += job.app.circuit.shots() as f64 * member.cost_per_shot;
+            if app.outstanding == 0 {
+                let app = apps.remove(&job.app_id).expect("present above");
+                if !app.rejected {
+                    let mut done = app.done;
+                    done.completion_s = app.last_finish_s - done.submit_s;
+                    done.waiting_s = app.first_start_s - done.submit_s;
+                    report.completed.push(done);
                 }
             }
+        }
 
-            // 3. Admission into the engine's pending pool (journaled). The
-            //    baselines then place each admitted job directly (no trigger,
-            //    no optimizer) through the journaled direct-dispatch path;
-            //    the Qonductor policy leaves jobs pooled for the batch
-            //    dispatch.
-            let admitted = control.admit(t_next).expect("control-plane journal has a quorum");
-            match cfg.policy {
-                Policy::Qonductor { .. } => {}
-                Policy::Fcfs | Policy::LeastBusy => {
-                    for (ticket, job_id) in &admitted {
-                        let record = &apps[&ticket.ticket];
-                        let qpu = match cfg.policy {
-                            Policy::Fcfs => best_fidelity_qpu(record, &self.fleet),
-                            _ => least_busy_qpu(record, &self.fleet),
+        // 3. Arrivals in [t, t_next): non-blocking, journaled submission.
+        while sc.arrivals.get(next_arrival).is_some_and(|a| a.app.submit_time_s < t_next) {
+            let StreamArrival { stream, app } = &sc.arrivals[next_arrival];
+            next_arrival += 1;
+            if let Some(scaler) = scaler.as_mut() {
+                scaler.observe_arrival(app.submit_time_s, ResourceClass::Simulator);
+            }
+            let (arrived, infeasible, knit) = &mut counts[*stream];
+            *arrived += 1;
+            let mut submissions: Vec<(JobSpec, Job)> =
+                build_submission(&fleet, app).into_iter().collect();
+            if submissions.is_empty() && sc.tenants[*stream].slo.is_some() {
+                // Retry-with-cutting: split the circuit before any retry
+                // budget is burned and submit the fragments.
+                *knit += 1;
+                submissions = knitting::cut_in_half(&app.circuit)
+                    .fragments
+                    .into_iter()
+                    .filter_map(|circuit| {
+                        let fragment = HybridApplication {
+                            app_id: app.app_id,
+                            submit_time_s: app.submit_time_s,
+                            circuit,
+                            mitigation: MitigationStack::none(),
                         };
-                        control
-                            .dispatch_direct(*job_id, qpu, &mut self.fleet)
-                            .expect("control-plane journal has a quorum");
+                        build_submission(&fleet, &fragment)
+                    })
+                    .collect();
+            }
+            if submissions.is_empty() {
+                *infeasible += 1;
+                continue;
+            }
+            let done = Completion {
+                tenant: *stream as TenantId,
+                app_id: app.app_id,
+                submit_s: app.submit_time_s,
+                fidelity: 1.0,
+                mitigated: !app.mitigation.is_empty(),
+                ..Completion::default()
+            };
+            apps.insert(
+                app.app_id,
+                Pending {
+                    outstanding: submissions.len(),
+                    rejected: false,
+                    first_start_s: f64::INFINITY,
+                    last_finish_s: f64::NEG_INFINITY,
+                    done,
+                },
+            );
+            for (spec, job) in submissions {
+                let ticket = plane
+                    .submit(*stream as TenantId, spec, app.submit_time_s)
+                    .expect("streams map to registered tenants; journals have quorums");
+                jobs.insert(ticket, job);
+            }
+        }
+
+        // 4. Elastic capacity: grow or shrink Simulator-class tail members,
+        //    leasing and journaling each one before the fleet changes.
+        if let Some(scaler) = scaler.as_mut() {
+            match scaler.decide(t_next, fleet.len() - base_len) {
+                ScalingDecision::Grow(n) => {
+                    for _ in 0..n {
+                        let (index, class) = (fleet.len(), ResourceClass::Simulator);
+                        plane
+                            .provision_qpu(index % sc.shards, t_next, index, class)
+                            .expect("journals have quorums")
+                            .expect("the fleet tail is unleased");
+                        let name = format!("elastic_sim_{}", report.provisioned);
+                        fleet.push_member(FleetMember {
+                            qpu: Qpu::new(name, QpuModel::falcon_27(), 1.3, &mut elastic_rng)
+                                .with_resource_class(class)
+                                .with_cost_per_shot(0.05),
+                            queue: JobQueue::new(),
+                        });
+                        report.provisioned += 1;
                     }
                 }
-            }
-
-            // 3b. Under the calibration-aware policy, recompute the
-            //     estimates of every stale *pooled* job against the current
-            //     snapshots, journaling each refresh. Running after
-            //     admission covers the boundary-deferred jobs, jobs that sat
-            //     in the tenant queue across a boundary, and jobs admitted
-            //     only now from a pre-boundary backlog (their submit-time
-            //     specs carry the old epoch) — nothing dispatches stale.
-            if cfg.calibration == CalibrationPolicy::SplitAtBoundary {
-                for job_id in control.stale_pending(epoch) {
-                    let Some(ticket) = control.submissions().admitted_ticket(job_id) else {
-                        continue;
-                    };
-                    let Some(record) = apps.get_mut(&ticket.ticket) else { continue };
-                    let Some((spec, fresh)) = build_submission(&self.fleet, &record.app) else {
-                        continue;
-                    };
-                    record.estimates = fresh.estimates;
-                    if control
-                        .reestimate_job(job_id, spec)
-                        .expect("control-plane journal has a quorum")
-                    {
-                        reestimated_jobs += 1;
+                ScalingDecision::Shrink(n) => {
+                    for _ in 0..n {
+                        // Only an idle, drained elastic tail retires.
+                        if fleet.len() <= base_len || fleet.pop_member().is_none() {
+                            break;
+                        }
+                        let index = fleet.len();
+                        plane
+                            .retire_qpu(index % sc.shards, t_next, index)
+                            .expect("journals have quorums")
+                            .expect("the provisioning shard holds the lease");
+                        report.retired += 1;
                     }
                 }
+                ScalingDecision::Hold => {}
             }
+        }
 
-            // 4. Trigger-gated batch dispatch (Qonductor policy only): the
-            //    engine checks its trigger, runs one NSGA-II + MCDM cycle
-            //    over the schedulable pool, splits the plan at recalibration
-            //    boundaries (§7, calibration-aware policy), and enqueues the
-            //    surviving placements.
-            if let Some(scheduler) = &scheduler {
-                if let Some(outcome) = control
-                    .try_dispatch(t_next, scheduler, &mut self.fleet)
-                    .expect("control-plane journal has a quorum")
-                {
-                    for ticket in &outcome.terminal_rejections {
-                        if apps.remove(&ticket.ticket).is_some() {
-                            rejected += 1;
+        // 5. Weighted-fair admission (escalation lane first), journaled.
+        let admitted = plane.admit(t_next).expect("journals have quorums");
+
+        // 6. Recompute the estimates of every stale pooled job against the
+        //    current calibration, journaling each refresh. Running after
+        //    admission covers boundary-deferred jobs and jobs admitted only
+        //    now from a pre-boundary backlog — nothing dispatches stale.
+        if sc.calibration == CalibrationPolicy::SplitAtBoundary {
+            for (shard, job_id) in plane.stale_pending_all(epoch) {
+                let Some(ticket) = plane.admitted_ticket(shard, job_id) else { continue };
+                let Some(job) = jobs.get_mut(&ticket) else { continue };
+                let Some((spec, fresh)) = build_submission(&fleet, &job.app) else { continue };
+                job.estimates = fresh.estimates;
+                if plane.reestimate_job(shard, job_id, spec).expect("journals have quorums") {
+                    report.reestimated_jobs += 1;
+                }
+            }
+        }
+
+        // 7. Placement: the baselines put each admitted job straight onto a
+        //    queue (journaled, no trigger, no optimizer); Qonductor runs
+        //    every due shard trigger's NSGA-II + MCDM cycle.
+        match &scheduler {
+            None => {
+                for (ticket, job_id) in admitted {
+                    // The (shard-masked) spec says where the job can run.
+                    let spec = &plane.pending_job(ticket.shard, job_id).expect("admitted").spec;
+                    let feasible = (0..spec.exec_time_per_qpu.len().min(fleet.len()))
+                        .filter(|&i| spec.exec_time_per_qpu[i].is_finite());
+                    let waiting = |i: usize| fleet.members()[i].queue.estimated_waiting_s();
+                    let qpu = match sc.placement {
+                        Placement::Fcfs => feasible.max_by(|&a, &b| {
+                            spec.fidelity_per_qpu[a].total_cmp(&spec.fidelity_per_qpu[b])
+                        }),
+                        _ => feasible.min_by(|&a, &b| waiting(a).total_cmp(&waiting(b))),
+                    };
+                    plane.shards_mut()[ticket.shard]
+                        .dispatch_direct(job_id, qpu.unwrap_or(0), &mut fleet)
+                        .expect("journals have quorums");
+                }
+            }
+            Some(scheduler) => {
+                let outcomes = plane
+                    .try_dispatch(t_next, scheduler, &mut fleet)
+                    .expect("journals have quorums");
+                for (shard, outcome) in outcomes {
+                    for &ticket in &outcome.terminal_rejections {
+                        let global = plane.global_of(shard, ticket.tenant).expect("registered");
+                        let ticket = GlobalTicket { shard, ticket };
+                        let reason = match plane.poll(ticket) {
+                            Some(TicketStatus::Rejected { reason, .. }) => reason,
+                            _ => RejectReason::RetriesExhausted,
+                        };
+                        report.rejections.push((global, reason));
+                        let Some(job) = jobs.remove(&ticket) else { continue };
+                        if let Some(app) = apps.get_mut(&job.app_id) {
+                            app.outstanding -= 1;
+                            app.rejected = true;
+                            if app.outstanding == 0 {
+                                apps.remove(&job.app_id);
+                            }
                         }
                     }
                     let batch = &outcome.record;
-                    dispatches.push(DispatchRecord {
+                    if let Some(cycle) = cycle_record(batch, shard, &plane, &jobs) {
+                        report.cycles.push(cycle);
+                    }
+                    report.speculative_batches += usize::from(batch.speculative);
+                    report.batches.push(Batch {
+                        shard,
                         t_s: batch.t_s,
+                        reason: batch.reason,
                         job_ids: batch.job_ids.clone(),
                         enqueued: batch.enqueued_job_ids(),
                         deferred: batch.deferred.iter().map(|(id, _)| *id).collect(),
+                        tenant_jobs: batch
+                            .tenant_jobs
+                            .iter()
+                            .map(|&(local, n)| {
+                                (plane.global_of(shard, local).expect("registered"), n)
+                            })
+                            .collect(),
                         fleet_epoch: batch.fleet_epoch,
                     });
-                    if let Some(record) = cycle_record_from(batch, &control, &apps) {
-                        cycles.push(record);
-                    }
-                    if batch.speculative {
-                        speculative_batches += 1;
-                    }
-                    batches_seen += 1;
-                    // Periodic checkpoint: snapshot the job state and compact
-                    // the journal so failovers replay a short suffix.
-                    if snapshot_every > 0 && batches_seen.is_multiple_of(snapshot_every) {
-                        control.snapshot().expect("control-plane journal has a quorum");
-                        snapshots_installed += 1;
+                    // Periodic checkpoint: snapshot and compact every journal
+                    // so failovers replay a short suffix, not history.
+                    if snapshot_every > 0 && report.batches.len().is_multiple_of(snapshot_every) {
+                        plane.snapshot_all().expect("journals have quorums");
+                        report.snapshots_installed += 1;
                     }
                 }
-                // 4b. Plan-ahead pipelining: with this step's dispatch (if
-                //     any) done, speculatively schedule the batch the next
-                //     step's trigger check would dispatch. Adopted next step
-                //     only if the pool, queues, and calibration epochs are
-                //     unchanged — dispatches are bit-identical either way.
-                if cfg.pipeline_planning {
-                    control.plan_ahead(t_next + cfg.step_s, scheduler, &self.fleet);
+                if sc.plan_ahead {
+                    for shard in plane.shards_mut() {
+                        shard.plan_ahead(t_next + sc.step_s, scheduler, &fleet);
+                    }
                 }
             }
-
-            // 5. Metrics sampling.
-            if t_next >= next_metrics_s {
-                next_metrics_s += cfg.metrics_interval_s;
-                timeline.push(TimePoint {
-                    t_s: t_next,
-                    mean_fidelity: mean(completed.iter().map(|c| c.fidelity)),
-                    mean_completion_s: mean(completed.iter().map(|c| c.completion_s)),
-                    mean_utilization: mean(
-                        self.fleet.members().iter().map(|m| m.queue.utilization()),
-                    ),
-                    scheduler_queue_len: control.jobmanager().pending_len(),
-                    completed: completed.len(),
-                });
-            }
-
-            t = t_next;
         }
 
-        let report = SimulationReport {
-            timeline,
-            cycles,
-            dispatches,
-            qpu_busy_s: self.fleet.members().iter().map(|m| m.queue.busy_s()).collect(),
-            qpu_names: self.fleet.members().iter().map(|m| m.qpu.name.clone()).collect(),
-            completed,
+        // 8. Metrics sampling.
+        if t_next >= next_sample_s {
+            next_sample_s += sc.sample_every_s;
+            report.timeline.push(TimePoint {
+                t_s: t_next,
+                mean_fidelity: report.mean_fidelity(),
+                mean_completion_s: report.mean_completion_s(),
+                mean_utilization: mean(fleet.members().iter().map(|m| m.queue.utilization())),
+                scheduler_queue_len: plane
+                    .shards()
+                    .iter()
+                    .map(|s| s.jobmanager().pending_len())
+                    .sum(),
+                completed: report.completed.len(),
+            });
+        }
+        t = t_next;
+    }
+
+    report.tenants = counts
+        .into_iter()
+        .enumerate()
+        .map(|(index, (arrived, infeasible, knit))| TenantOutcome {
+            tenant: index as TenantId,
             arrived,
-            rejected,
-            reestimated_jobs,
-            speculative_batches,
-        };
-        BaselineChaosReport {
-            final_digest: control.state_digest(),
-            final_state: control.encode_state(),
-            report,
-            crashes,
-            snapshots_installed,
-        }
-    }
+            infeasible,
+            knit,
+            stats: plane.tenant_stats(index as TenantId).expect("tenant registered"),
+        })
+        .collect();
+    report.qpu_busy_s = fleet.members().iter().map(|m| m.queue.busy_s()).collect();
+    report.qpu_names = fleet.members().iter().map(|m| m.qpu.name.clone()).collect();
+    report.final_digests = plane.state_digests();
+    report.final_states = plane.encoded_states();
+    report
 }
 
-/// The estimate an application would receive *right now* on `qpu_index`
-/// (against the device's current calibration), or `None` if it does not fit.
-fn execution_time_estimate(
-    fleet: &Fleet,
-    app: &HybridApplication,
-    qpu_index: usize,
-) -> Option<FastEstimate> {
-    let member = &fleet.members()[qpu_index];
-    if member.qpu.num_qubits() < app.circuit.num_qubits() {
-        return None;
-    }
-    Some(estimates::estimate(&app.circuit, &app.mitigation, &member.qpu))
-}
-
-/// Build the engine submission (per-QPU fast estimates) for an application
-/// against a fleet. Returns `None` if no QPU can fit the circuit. Shared by
-/// the single-tenant and multi-tenant simulations.
-pub(crate) fn build_submission(
-    fleet: &Fleet,
-    app: &HybridApplication,
-) -> Option<(JobSpec, AppRecord)> {
+/// The engine submission (per-QPU fast estimates) for an application, or
+/// `None` if no QPU fits the circuit.
+fn build_submission(fleet: &Fleet, app: &HybridApplication) -> Option<(JobSpec, Job)> {
     let qubits = app.circuit.num_qubits();
     if qubits > fleet.max_qubits() {
         return None;
@@ -698,95 +901,82 @@ pub(crate) fn build_submission(
         exec_time_per_qpu: estimates.iter().map(|e| e.quantum_time_s).collect(),
         estimate_epoch: fleet.calibration_epoch(),
     };
-    let record = AppRecord {
-        app_id: app.app_id,
-        submit_s: app.submit_time_s,
-        mitigated: !app.mitigation.is_empty(),
-        estimates,
-        app: app.clone(),
-    };
-    Some((spec, record))
+    Some((spec, Job { app_id: app.app_id, estimates, app: app.clone() }))
 }
 
-fn best_fidelity_qpu(app: &AppRecord, fleet: &Fleet) -> usize {
-    (0..fleet.len())
-        .filter(|&i| app.estimates[i].quantum_time_s.is_finite())
-        .max_by(|&a, &b| app.estimates[a].fidelity.partial_cmp(&app.estimates[b].fidelity).unwrap())
-        .unwrap_or(0)
-}
-
-fn least_busy_qpu(app: &AppRecord, fleet: &Fleet) -> usize {
-    (0..fleet.len())
-        .filter(|&i| app.estimates[i].quantum_time_s.is_finite())
-        .min_by(|&a, &b| {
-            let wa = fleet.members()[a].queue.estimated_waiting_s();
-            let wb = fleet.members()[b].queue.estimated_waiting_s();
-            wa.partial_cmp(&wb).unwrap()
-        })
-        .unwrap_or(0)
-}
-
-/// Derive the per-cycle statistics of Figures 8 and 10a from one of the
-/// engine's batch records. `apps` is keyed by submission ticket; the control
-/// plane maps engine job ids back to tickets.
-fn cycle_record_from(
+/// Derive the per-cycle statistics of Figures 8 and 10a from a batch
+/// record; engine job ids map back to jobs through the shard's tickets.
+fn cycle_record(
     batch: &BatchRecord,
-    control: &ReplicatedControlPlane,
-    apps_by_ticket: &HashMap<TicketId, AppRecord>,
+    shard: usize,
+    plane: &ShardedControlPlane,
+    jobs: &HashMap<GlobalTicket, Job>,
 ) -> Option<CycleRecord> {
     if batch.job_ids.is_empty() {
         return None;
     }
-    // Job-id view of the batch's applications (placed jobs stay ticket-mapped
-    // until their completion resolves).
-    let apps: HashMap<JobId, &AppRecord> = batch
+    let estimates: HashMap<JobId, &[FastEstimate]> = batch
         .job_ids
         .iter()
         .filter_map(|&job_id| {
-            let ticket = control.submissions().admitted_ticket(job_id)?;
-            Some((job_id, apps_by_ticket.get(&ticket.ticket)?))
+            let job = jobs.get(&plane.admitted_ticket(shard, job_id)?)?;
+            Some((job_id, job.estimates.as_slice()))
         })
         .collect();
-    let apps = &apps;
     let outcome = &batch.outcome;
-    // The placements are ordered like the scheduler's schedulable-job list,
-    // so every Pareto solution's assignment vector aligns with this order.
-    let sched_order: Vec<JobId> = outcome.placements.iter().map(|p| p.job_id).collect();
-
-    let jcts = completion_times(outcome, apps, batch);
-    let p95 = percentile(&jcts, 0.95);
-    let chosen_assignment: Vec<usize> = outcome.placements.iter().map(|p| p.qpu_index).collect();
-    let chosen_exec = mean_exec_of(&chosen_assignment, &sched_order, apps);
-    let (mut min_exec, mut max_exec) = (chosen_exec, chosen_exec);
-    for sol in &outcome.pareto_front {
-        let e = mean_exec_of(&sol.assignment, &sched_order, apps);
-        min_exec = min_exec.min(e);
-        max_exec = max_exec.max(e);
+    // Placements follow the scheduler's job order, so every Pareto
+    // solution's assignment vector aligns with it.
+    let order: Vec<JobId> = outcome.placements.iter().map(|p| p.job_id).collect();
+    let mean_exec = |assignment: &[usize]| {
+        let n = assignment.len().min(order.len());
+        if n == 0 {
+            return 0.0;
+        }
+        let total = (0..n)
+            .filter_map(|i| estimates.get(&order[i])?.get(assignment[i]))
+            .map(|e| e.quantum_time_s)
+            .filter(|e| e.is_finite())
+            .fold(0.0, |sum, e| sum + e);
+        total / n as f64
+    };
+    // Per-job completion estimates of the chosen placements (queue wait +
+    // all co-scheduled execution on the chosen QPU), mirroring Eq. 1.
+    let mut per_qpu_load = vec![0.0f64; batch.qpus.len()];
+    for p in &outcome.placements {
+        // Jobs estimated before an elastic QPU joined have no entry for it.
+        if let Some(e) = estimates.get(&p.job_id).and_then(|e| e.get(p.qpu_index)) {
+            per_qpu_load[p.qpu_index] += e.quantum_time_s;
+        }
     }
-    let front_min_jct =
-        outcome.pareto_front.iter().map(|s| s.objectives.mean_jct_s).fold(f64::INFINITY, f64::min);
-    let front_max_jct =
-        outcome.pareto_front.iter().map(|s| s.objectives.mean_jct_s).fold(0.0, f64::max);
-    let front_max_fid =
-        outcome.pareto_front.iter().map(|s| s.objectives.mean_fidelity()).fold(0.0, f64::max);
-    let front_min_fid = outcome
-        .pareto_front
+    let mut jcts: Vec<f64> = outcome
+        .placements
         .iter()
-        .map(|s| s.objectives.mean_fidelity())
-        .fold(f64::INFINITY, f64::min);
-
+        .map(|p| batch.qpus[p.qpu_index].waiting_time_s + per_qpu_load[p.qpu_index])
+        .collect();
+    jcts.sort_by(f64::total_cmp);
+    let p95 = jcts
+        .get(((jcts.len() as f64 - 1.0) * 0.95).round() as usize)
+        .or(jcts.last())
+        .copied()
+        .unwrap_or(0.0);
+    let chosen: Vec<usize> = outcome.placements.iter().map(|p| p.qpu_index).collect();
+    let chosen_exec = mean_exec(&chosen);
+    let front = &outcome.pareto_front;
+    let execs: Vec<f64> = front.iter().map(|s| mean_exec(&s.assignment)).collect();
+    let jct = front.iter().map(|s| s.objectives.mean_jct_s);
+    let fid = front.iter().map(|s| s.objectives.mean_fidelity());
     Some(CycleRecord {
         t_s: batch.t_s,
         num_jobs: batch.job_ids.len(),
         chosen: outcome.chosen,
         chosen_p95_jct_s: p95,
-        front_min_jct_s: front_min_jct,
-        front_max_jct_s: front_max_jct,
-        front_max_fidelity: front_max_fid,
-        front_min_fidelity: front_min_fid,
+        front_min_jct_s: jct.clone().fold(f64::INFINITY, f64::min),
+        front_max_jct_s: jct.fold(0.0, f64::max),
+        front_max_fidelity: fid.clone().fold(0.0, f64::max),
+        front_min_fidelity: fid.fold(f64::INFINITY, f64::min),
         chosen_mean_exec_s: chosen_exec,
-        front_min_exec_s: min_exec,
-        front_max_exec_s: max_exec,
+        front_min_exec_s: execs.iter().fold(chosen_exec, |a, &b| a.min(b)),
+        front_max_exec_s: execs.iter().fold(chosen_exec, |a, &b| a.max(b)),
         stage_runtimes_s: [
             outcome.timings.preprocessing_s,
             outcome.timings.optimization_s,
@@ -795,89 +985,39 @@ fn cycle_record_from(
     })
 }
 
-/// Per-job completion-time estimates of the chosen placement set (queue wait
-/// + all co-scheduled execution time on the chosen QPU), mirroring Eq. 1.
-fn completion_times(
-    outcome: &qonductor_scheduler::ScheduleOutcome,
-    apps: &HashMap<JobId, &AppRecord>,
-    batch: &BatchRecord,
-) -> Vec<f64> {
-    let mut per_qpu_load = vec![0.0f64; batch.qpus.len()];
-    for p in &outcome.placements {
-        if let Some(app) = apps.get(&p.job_id) {
-            per_qpu_load[p.qpu_index] += app.estimates[p.qpu_index].quantum_time_s;
-        }
-    }
-    outcome
-        .placements
-        .iter()
-        .map(|p| batch.qpus[p.qpu_index].waiting_time_s + per_qpu_load[p.qpu_index])
-        .collect()
-}
-
-fn mean_exec_of(
-    assignment: &[usize],
-    sched_order: &[JobId],
-    apps: &HashMap<JobId, &AppRecord>,
-) -> f64 {
-    let n = assignment.len().min(sched_order.len());
-    if n == 0 {
-        return 0.0;
-    }
-    let mut sum = 0.0;
-    for i in 0..n {
-        if let Some(app) = apps.get(&sched_order[i]) {
-            let e = app.estimates[assignment[i]].quantum_time_s;
-            if e.is_finite() {
-                sum += e;
-            }
-        }
-    }
-    sum / n as f64
-}
-
-fn percentile(values: &[f64], q: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn short_config(policy: Policy) -> SimulationConfig {
-        SimulationConfig {
-            duration_s: 400.0,
-            step_s: 10.0,
-            arrival: ArrivalConfig { mean_rate_per_hour: 600.0, ..Default::default() },
-            policy,
-            trigger_queue_limit: 30,
-            trigger_interval_s: 60.0,
-            metrics_interval_s: 50.0,
-            nsga2: Nsga2Config {
-                population_size: 20,
-                max_generations: 15,
-                max_evaluations: 1500,
-                num_threads: 2,
-                ..Nsga2Config::default()
+    fn short_scenario(placement: Placement) -> Scenario {
+        Scenario {
+            placement,
+            trigger: ScheduleTrigger::new(30, 60.0),
+            scheduler: SchedulerConfig {
+                nsga2: Nsga2Config {
+                    population_size: 20,
+                    max_generations: 15,
+                    max_evaluations: 1500,
+                    num_threads: 2,
+                    ..Nsga2Config::default()
+                },
+                ..SchedulerConfig::default()
             },
-            seed: 7,
-            ..Default::default()
+            sample_every_s: 50.0,
+            ..Scenario::paper(
+                default_fleet(7),
+                ArrivalConfig { mean_rate_per_hour: 600.0, ..Default::default() },
+                0.5,
+                400.0,
+                7,
+            )
         }
     }
 
     #[test]
     fn qonductor_simulation_produces_cycles_and_completions() {
-        let sim = CloudSimulation::with_default_fleet(short_config(Policy::Qonductor {
-            preference: Preference::balanced(),
-        }));
-        let report = sim.run();
-        assert!(report.arrived > 20);
+        let report = run(&short_scenario(Placement::Qonductor), None);
+        assert!(report.arrived() > 20);
         assert!(!report.cycles.is_empty(), "scheduling cycles must have run");
         assert!(!report.completed.is_empty(), "jobs must have completed");
         assert!(!report.timeline.is_empty());
@@ -891,13 +1031,10 @@ mod tests {
 
     #[test]
     fn fcfs_concentrates_load_qonductor_spreads_it() {
-        let fcfs = CloudSimulation::with_default_fleet(short_config(Policy::Fcfs)).run();
-        let qonductor = CloudSimulation::with_default_fleet(short_config(Policy::Qonductor {
-            preference: Preference::balanced(),
-        }))
-        .run();
-        // FCFS (fidelity-greedy) leaves some QPUs idle; Qonductor spreads the load,
-        // so its max-load-difference is smaller.
+        let fcfs = run(&short_scenario(Placement::Fcfs), None);
+        let qonductor = run(&short_scenario(Placement::Qonductor), None);
+        // FCFS (fidelity-greedy) leaves some QPUs idle; Qonductor spreads the
+        // load, so its max-load-difference is smaller.
         assert!(
             qonductor.max_load_difference() < fcfs.max_load_difference() + 1e-9,
             "qonductor {} vs fcfs {}",
@@ -905,16 +1042,13 @@ mod tests {
             fcfs.max_load_difference()
         );
         // FCFS uses fewer distinct QPUs than Qonductor.
-        let used = |r: &SimulationReport| r.qpu_busy_s.iter().filter(|&&b| b > 0.0).count();
+        let used = |r: &Report| r.qpu_busy_s.iter().filter(|&&b| b > 0.0).count();
         assert!(used(&qonductor) >= used(&fcfs));
     }
 
     #[test]
     fn cycle_records_are_internally_consistent() {
-        let report = CloudSimulation::with_default_fleet(short_config(Policy::Qonductor {
-            preference: Preference::balanced(),
-        }))
-        .run();
+        let report = run(&short_scenario(Placement::Qonductor), None);
         for c in &report.cycles {
             assert!(c.front_min_jct_s <= c.chosen.mean_jct_s + 1e-6);
             assert!(c.front_max_jct_s >= c.chosen.mean_jct_s - 1e-6);
@@ -930,56 +1064,54 @@ mod tests {
 
     #[test]
     fn least_busy_policy_runs_without_scheduler_cycles() {
-        let report = CloudSimulation::with_default_fleet(short_config(Policy::LeastBusy)).run();
+        let report = run(&short_scenario(Placement::LeastBusy), None);
         assert!(report.cycles.is_empty());
         assert!(!report.completed.is_empty());
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let a = CloudSimulation::with_default_fleet(short_config(Policy::Fcfs)).run();
-        let b = CloudSimulation::with_default_fleet(short_config(Policy::Fcfs)).run();
-        assert_eq!(a.arrived, b.arrived);
+        let a = run(&short_scenario(Placement::Fcfs), None);
+        let b = run(&short_scenario(Placement::Fcfs), None);
+        assert_eq!(a.arrived(), b.arrived());
         assert_eq!(a.completed.len(), b.completed.len());
         assert!((a.mean_fidelity() - b.mean_fidelity()).abs() < 1e-12);
     }
 
-    /// Warm-started scheduling stays deterministic: two fresh simulations of
-    /// the same seed produce identical batch sequences and completions.
+    /// Warm-started scheduling stays deterministic: two fresh runs of the
+    /// same seed produce identical batch sequences and completions.
     #[test]
     fn qonductor_policy_is_deterministic_with_warm_start() {
-        let config = || short_config(Policy::Qonductor { preference: Preference::balanced() });
-        let a = CloudSimulation::with_default_fleet(config()).run();
-        let b = CloudSimulation::with_default_fleet(config()).run();
-        assert!(!a.dispatches.is_empty());
-        assert_eq!(a.dispatches, b.dispatches, "warm-started batches must be reproducible");
+        let a = run(&short_scenario(Placement::Qonductor), None);
+        let b = run(&short_scenario(Placement::Qonductor), None);
+        assert!(!a.batches.is_empty());
+        assert_eq!(a.batches, b.batches, "warm-started batches must be reproducible");
         assert_eq!(a.completed.len(), b.completed.len());
         assert!((a.mean_fidelity() - b.mean_fidelity()).abs() < 1e-12);
         assert!((a.mean_completion_s() - b.mean_completion_s()).abs() < 1e-9);
     }
 
-    /// The single-tenant simulation now rides the journaled control plane:
-    /// leader crashes mid-run are invisible — the fault-injected run matches
-    /// the failure-free run's completions and final state digest exactly,
-    /// for both a baseline policy and the Qonductor policy.
+    /// Leader crashes mid-run are invisible to the single-tenant policies
+    /// too: the fault-injected run matches the failure-free run's
+    /// completions, batches, and final digest exactly.
     #[test]
     fn baseline_sim_failovers_are_invisible() {
-        use crate::failover::FailurePlan;
-        for policy in [Policy::Fcfs, Policy::Qonductor { preference: Preference::balanced() }] {
+        for placement in [Placement::Fcfs, Placement::Qonductor] {
             let plan = FailurePlan::from_seed(31, 400.0, 2);
-            let chaos =
-                CloudSimulation::with_default_fleet(short_config(policy)).run_with_failures(&plan);
-            let plain = CloudSimulation::with_default_fleet(short_config(policy))
-                .run_with_failures(&FailurePlan {
+            let chaos = run(&short_scenario(placement), Some(&plan));
+            let plain = run(
+                &short_scenario(placement),
+                Some(&FailurePlan {
                     crash_times_s: vec![],
                     snapshot_every_batches: plan.snapshot_every_batches,
-                });
-            assert_eq!(chaos.crashes.len(), 2, "{policy:?}");
-            assert!(chaos.all_digests_matched(), "{policy:?}: rebuilt state diverged");
-            assert_eq!(chaos.final_digest, plain.final_digest, "{policy:?}");
-            assert_eq!(chaos.report.completed, plain.report.completed, "{policy:?}");
-            assert_eq!(chaos.report.dispatches, plain.report.dispatches, "{policy:?}");
-            assert!(!chaos.report.completed.is_empty(), "{policy:?}");
+                }),
+            );
+            assert_eq!(chaos.crashes.len(), 2, "{placement:?}");
+            assert!(chaos.all_digests_matched(), "{placement:?}: rebuilt state diverged");
+            assert_eq!(chaos.final_digests, plain.final_digests, "{placement:?}");
+            assert_eq!(chaos.completed, plain.completed, "{placement:?}");
+            assert_eq!(chaos.batches, plain.batches, "{placement:?}");
+            assert!(!chaos.completed.is_empty(), "{placement:?}");
         }
     }
 }

@@ -4,15 +4,14 @@
 //! offered load through two control-plane arms and compares their deadline
 //! behaviour:
 //!
-//! * **SLO-aware** — the deadline tenant registers an
-//!   [`SloClass`](qonductor_core::submission::SloClass); its jobs ride the
-//!   journaled escalation lane past the DRR scan, the
-//!   [`ScheduleTrigger`](qonductor_scheduler::ScheduleTrigger) fires early on
-//!   negative deadline slack, an [`Autoscaler`] watches the arrival window
-//!   and provisions elastic `Simulator`-class capacity into the
-//!   [`FederatedFleet`] through journaled `QpuProvisioned`/`QpuRetired`
-//!   events, and arrivals too wide for every QPU are routed through
-//!   `mitigation::knitting` into sub-circuit jobs instead of being rejected.
+//! * **SLO-aware** — the deadline tenant registers an [`SloClass`]; its
+//!   jobs ride the journaled escalation lane past the DRR scan, the
+//!   [`ScheduleTrigger`] fires early on negative deadline slack, an
+//!   autoscaler watches the arrival window and provisions elastic
+//!   `Simulator`-class capacity through journaled leases and
+//!   `QpuProvisioned`/`QpuRetired` events, and arrivals too wide for every
+//!   QPU are routed through `mitigation::knitting` into sub-circuit jobs
+//!   instead of being rejected.
 //! * **Plain weighted-fair** — the same trigger and weights with no SLO
 //!   class, no escalation, no autoscaling, and no retry-with-cutting.
 //!
@@ -23,68 +22,38 @@
 //! `QpuProvisioned`, and `QpuRetired` event rides the replicated journal, so
 //! a fault-injected run must reproduce the failure-free run byte for byte.
 
-use crate::failover::{CrashRecord, FailurePlan};
-use crate::load::{ArrivalConfig, HybridApplication, LoadGenerator};
-use crate::multitenant::BatchComposition;
-use crate::sim::build_submission;
-use qonductor_backend::{Fleet, FleetMember, JobQueue, Qpu, QpuModel, ResourceClass};
-use qonductor_core::federation::FederatedFleet;
-use qonductor_core::replication::ReplicatedControlPlane;
-use qonductor_core::submission::{
-    RejectReason, SloClass, TenantConfig, TenantStats, TicketId, TicketStatus,
-};
-use qonductor_core::{Autoscaler, AutoscalerConfig, ScalingDecision, TenantId};
-use qonductor_mitigation::{knitting, MitigationStack};
-use qonductor_scheduler::{
-    HybridScheduler, Nsga2Config, Preference, ScheduleTrigger, SchedulerConfig,
-};
+use crate::load::{ArrivalConfig, LoadGenerator, StreamArrival};
+use crate::sim::{run, Placement, Report, Scenario, Tenant};
+use qonductor_backend::Fleet;
+use qonductor_core::jobmanager::{CalibrationPolicy, TenantId};
+use qonductor_core::submission::{RejectReason, SloClass, TenantConfig};
+use qonductor_core::AutoscalerConfig;
+use qonductor_scheduler::{Nsga2Config, Preference, ScheduleTrigger, SchedulerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
 
-/// Configuration of the bursty SLO scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Global id of the heavyweight bulk tenant.
+pub const BULK_TENANT: TenantId = 0;
+/// Global id of the deadline-bound tenant.
+pub const SLO_TENANT: TenantId = 1;
+
+/// Configuration of the bursty SLO scenario. The load shape is fixed: a
+/// weight-8 bulk tenant at a flat 600 jobs/h (5% mitigated), and an
+/// unmitigated SLO tenant at 240 jobs/h plus 1200 jobs/h during the burst,
+/// drawing circuits up to 40 qubits — wider than the widest device, so a
+/// fraction must be knit to run at all.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SloConfig {
     /// Simulated duration (seconds).
     pub duration_s: f64,
-    /// Simulation step (seconds).
-    pub step_s: f64,
     /// Relative deadline of every SLO-tenant application (seconds after
     /// submission).
     pub deadline_s: f64,
-    /// Trigger slack margin: the trigger fires early once a pending job is
-    /// within this margin of its deadline, and the escalation lane looks
-    /// `interval + margin` ahead.
-    pub slo_margin_s: f64,
-    /// Bulk tenant's constant arrival rate (jobs/hour).
-    pub bulk_rate_per_hour: f64,
-    /// SLO tenant's off-burst arrival rate (jobs/hour).
-    pub slo_base_rate_per_hour: f64,
-    /// Extra SLO-tenant arrival rate during the burst window (jobs/hour).
-    pub slo_burst_rate_per_hour: f64,
     /// Burst window start (seconds).
     pub burst_start_s: f64,
     /// Burst window end (seconds, exclusive).
     pub burst_end_s: f64,
-    /// Bulk tenant's DRR weight (the SLO tenant has weight 1).
-    pub bulk_weight: u32,
-    /// Widest circuit the SLO tenant's workload generator may draw. Set above
-    /// the fleet's widest device so a fraction of arrivals is infeasible
-    /// everywhere and must be knit (cut in half) to run at all.
-    pub workload_max_qubits: u32,
-    /// Queue-size trigger threshold (and admission pool capacity).
-    pub trigger_queue_limit: usize,
-    /// Time-based trigger interval (seconds) — deliberately longer than the
-    /// deadline, so only the slack-aware early fire can save an SLO job.
-    pub trigger_interval_s: f64,
-    /// Elastic-capacity controller of the SLO-aware arm.
-    pub autoscaler: AutoscalerConfig,
-    /// NSGA-II configuration of the batch scheduler.
-    pub nsga2: Nsga2Config,
-    /// MCDM objective preference.
-    pub preference: Preference,
-    /// RNG seed (arrival stream, fleet synthesis, elastic-device synthesis).
+    /// Seed of the arrival stream, fleet, and elastic devices.
     pub seed: u64,
 }
 
@@ -92,19 +61,54 @@ impl Default for SloConfig {
     fn default() -> Self {
         SloConfig {
             duration_s: 900.0,
-            step_s: 5.0,
             deadline_s: 75.0,
-            slo_margin_s: 60.0,
-            bulk_rate_per_hour: 600.0,
-            slo_base_rate_per_hour: 240.0,
-            slo_burst_rate_per_hour: 1200.0,
             burst_start_s: 150.0,
             burst_end_s: 450.0,
-            bulk_weight: 8,
-            workload_max_qubits: 40,
-            trigger_queue_limit: 48,
-            trigger_interval_s: 150.0,
-            autoscaler: AutoscalerConfig {
+            seed: 77,
+        }
+    }
+}
+
+/// Simulation step (seconds).
+const STEP_S: f64 = 5.0;
+/// Time-based trigger interval (seconds) — deliberately longer than the
+/// deadline, so only the slack-aware early fire can save an SLO job.
+const TRIGGER_INTERVAL_S: f64 = 150.0;
+
+impl SloConfig {
+    /// One arm's scenario. `slo_aware` gives the SLO tenant its class (and
+    /// with it the escalation lane and retry-with-cutting) and turns on the
+    /// autoscaler; otherwise the identical offered load runs through plain
+    /// weighted-fair admission.
+    pub fn scenario(&self, slo_aware: bool) -> Scenario {
+        let fleet = Fleet::heterogeneous(&mut StdRng::seed_from_u64(self.seed ^ 0xF1EE7));
+        let arrivals = self.offered_load(fleet.max_qubits());
+        let config = |weight| TenantConfig { weight, max_in_flight: 1_000_000, max_retries: 1 };
+        let slo = SloClass { deadline_s: self.deadline_s, priority: 1, max_error: 1.0 };
+        Scenario {
+            fleet,
+            shards: 1,
+            tenants: vec![
+                Tenant { config: config(8), slo: None },
+                Tenant { config: config(1), slo: slo_aware.then_some(slo) },
+            ],
+            arrivals,
+            trigger: ScheduleTrigger::new(48, TRIGGER_INTERVAL_S).with_slo_margin(60.0),
+            scheduler: SchedulerConfig {
+                nsga2: Nsga2Config {
+                    population_size: 20,
+                    max_generations: 15,
+                    max_evaluations: 1500,
+                    num_threads: 2,
+                    ..Nsga2Config::default()
+                },
+                preference: Preference::jct_first(),
+                ..SchedulerConfig::default()
+            },
+            calibration: CalibrationPolicy::Naive,
+            placement: Placement::Qonductor,
+            plan_ahead: false,
+            autoscaler: slo_aware.then_some(AutoscalerConfig {
                 window_s: 100.0,
                 target_rate_per_qpu: 0.05,
                 baseline_rate: 0.15,
@@ -112,557 +116,111 @@ impl Default for SloConfig {
                 max_elastic: 8,
                 cooldown_s: 30.0,
                 ..AutoscalerConfig::default()
-            },
-            nsga2: Nsga2Config {
-                population_size: 20,
-                max_generations: 15,
-                max_evaluations: 1500,
-                num_threads: 2,
-                ..Nsga2Config::default()
-            },
-            preference: Preference::jct_first(),
-            seed: 77,
+            }),
+            duration_s: self.duration_s,
+            step_s: STEP_S,
+            sample_every_s: 60.0,
+            seed: self.seed,
         }
     }
-}
 
-/// Aggregate outcome of one arm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SloArmReport {
-    /// SLO-tenant applications that arrived.
-    pub arrived_slo: u64,
-    /// Bulk-tenant applications that arrived.
-    pub arrived_bulk: u64,
-    /// SLO-tenant applications fully completed (all fragments, for knit apps).
-    pub completed_slo: u64,
-    /// SLO-tenant applications finished within their deadline.
-    pub deadline_hits: u64,
-    /// `deadline_hits / arrived_slo` — unfinished, rejected, and late
-    /// applications all count as misses, so "p95 deadlines held" is exactly
-    /// `hit_rate >= 0.95`.
-    pub hit_rate: f64,
-    /// 95th-percentile turnaround of *completed* SLO applications (seconds;
-    /// 0 with none).
-    pub p95_turnaround_s: f64,
-    /// Mean turnaround of completed SLO applications (seconds; 0 with none).
-    pub mean_turnaround_s: f64,
-    /// SLO escalations journaled (bypass-lane admissions).
-    pub escalated: u64,
-    /// Elastic QPUs provisioned over the run.
-    pub provisioned: u64,
-    /// Elastic QPUs retired over the run.
-    pub retired: u64,
-    /// Applications too wide for every QPU that were knit into fragments and
-    /// submitted anyway.
-    pub knit_apps: u64,
-    /// Applications too wide for every QPU that were dropped without trying
-    /// the cutter (always 0 in the SLO-aware arm).
-    pub knittable_rejected: u64,
-    /// Tickets terminally rejected as infeasible (must stay 0 in the
-    /// SLO-aware arm — anything the cutter could have saved was knit at
-    /// submission).
-    pub rejected_infeasible: u64,
-    /// Tickets terminally rejected past their deadline.
-    pub rejected_deadline: u64,
-    /// Tickets terminally rejected with the retry budget exhausted.
-    pub rejected_retries: u64,
-    /// Batches dispatched.
-    pub batches: usize,
-    /// Jobs dispatched across all batches.
-    pub dispatched_jobs: usize,
-}
-
-/// One SLO-tenant application's completion, for byte-exact chaos comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SloCompletion {
-    /// Application id.
-    pub app_id: u64,
-    /// Submission time (seconds).
-    pub submit_s: f64,
-    /// Finish time of the last fragment (seconds).
-    pub finish_s: f64,
-    /// `finish_s - submit_s <= deadline_s`.
-    pub deadline_hit: bool,
-}
-
-/// Full outcome of one (possibly fault-injected) arm run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SloArmOutcome {
-    /// Aggregate metrics.
-    pub report: SloArmReport,
-    /// Every dispatched batch with its per-tenant composition.
-    pub batches: Vec<BatchComposition>,
-    /// Every completed SLO application, in completion order.
-    pub completions: Vec<SloCompletion>,
-    /// End-of-run submission-service accounting, `[(bulk tenant, stats),
-    /// (SLO tenant, stats)]` — the conservation suite checks each ledger
-    /// balances (queued + in-flight + completed + rejected = submitted).
-    pub tenants: Vec<(TenantId, TenantStats)>,
-    /// One record per injected crash (empty without a failure plan).
-    pub crashes: Vec<CrashRecord>,
-    /// Snapshots installed (journal compactions) during the run.
-    pub snapshots_installed: u64,
-    /// The control plane's state digest (incremental fingerprint) at the
-    /// end of the run; cross-schedule equality checks use
-    /// [`Self::final_state`].
-    pub final_digest: String,
-    /// The control plane's byte-for-byte encoded state at the end of the
-    /// run (the `encode_state` oracle).
-    pub final_state: String,
-}
-
-impl SloArmOutcome {
-    /// `true` iff every failover rebuilt the pre-crash state byte for byte.
-    pub fn all_digests_matched(&self) -> bool {
-        self.crashes.iter().all(|c| c.digest_matched)
+    /// The full offered load, drawn from a dedicated RNG so both arms (and
+    /// fault-injected re-runs) see byte-identical arrivals.
+    fn offered_load(&self, fleet_max_qubits: u32) -> Vec<StreamArrival> {
+        let constant = |rate: f64| ArrivalConfig {
+            mean_rate_per_hour: rate,
+            diurnal_amplitude: 0.0,
+            ..ArrivalConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xA11A);
+        // Arrivals stop one full deadline window before the end of the run,
+        // so every application can prove a deadline hit — without the
+        // cutoff, late arrivals would count as structural misses in both
+        // arms.
+        let horizon_s = (self.duration_s - self.deadline_s - STEP_S).max(0.0);
+        // Heavy mitigation stacks multiply quantum time up to ~24x, so the
+        // bulk mix sets how lumpy the background service times are.
+        let mut bulk = LoadGenerator::new(constant(600.0), fleet_max_qubits, 0.05);
+        // SLO circuits are unmitigated (the tenant pays for latency, not
+        // error bars) but may be wider than any device.
+        let mut slo_base = LoadGenerator::new(constant(240.0), 40, 0.0);
+        let mut slo_burst = LoadGenerator::new(constant(1200.0), 40, 0.0);
+        let mut merged: Vec<StreamArrival> = Vec::new();
+        let mut add = |stream: usize, apps: Vec<_>| {
+            merged.extend(apps.into_iter().map(|app| StreamArrival { stream, app }));
+        };
+        add(BULK_TENANT as usize, bulk.arrivals_in(0.0, horizon_s, &mut rng));
+        add(SLO_TENANT as usize, slo_base.arrivals_in(0.0, horizon_s, &mut rng));
+        let burst_end_s = self.burst_end_s.min(horizon_s);
+        add(SLO_TENANT as usize, slo_burst.arrivals_in(self.burst_start_s, burst_end_s, &mut rng));
+        merged.sort_by(|a, b| a.app.submit_time_s.total_cmp(&b.app.submit_time_s));
+        for (id, arrival) in merged.iter_mut().enumerate() {
+            arrival.app.app_id = id as u64;
+        }
+        merged
     }
 }
 
 /// Side-by-side outcome of the two arms over the same offered load.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SloComparison {
     /// The scenario configuration both arms ran under.
     pub config: SloConfig,
     /// The SLO-aware arm.
-    pub slo_aware: SloArmOutcome,
+    pub slo_aware: Report,
     /// The plain weighted-fair arm.
-    pub weighted_fair: SloArmOutcome,
+    pub weighted_fair: Report,
 }
 
 impl SloComparison {
+    /// The SLO tenant's deadline hit rates, `(slo_aware, weighted_fair)`.
+    pub fn hit_rates(&self) -> (f64, f64) {
+        let deadline_s = self.config.deadline_s;
+        (
+            self.slo_aware.deadline_hit_rate(SLO_TENANT, deadline_s),
+            self.weighted_fair.deadline_hit_rate(SLO_TENANT, deadline_s),
+        )
+    }
+
     /// Human-readable summary (the `slo_summary.txt` artifact).
     pub fn summary(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
+        let mut out = format!(
             "Bursty SLO scenario (seed {}): deadline {:.0} s, burst [{:.0}, {:.0}) s of {:.0} s, \
-             trigger interval {:.0} s\n\n",
+             trigger interval {TRIGGER_INTERVAL_S:.0} s\n\n",
             self.config.seed,
             self.config.deadline_s,
             self.config.burst_start_s,
             self.config.burst_end_s,
             self.config.duration_s,
-            self.config.trigger_interval_s,
-        ));
+        );
         out.push_str(
             "arm            arrived completed hit_rate p95_turnaround_s escalated provisioned \
              retired knit infeasible_rejected\n",
         );
-        for (name, arm) in
-            [("slo_aware", &self.slo_aware.report), ("weighted_fair", &self.weighted_fair.report)]
+        for (name, arm) in [("slo_aware", &self.slo_aware), ("weighted_fair", &self.weighted_fair)]
         {
+            let slo = arm.tenant(SLO_TENANT);
             out.push_str(&format!(
                 "{name:<14} {:>7} {:>9} {:>8.4} {:>16.2} {:>9} {:>11} {:>7} {:>4} {:>19}\n",
-                arm.arrived_slo,
-                arm.completed_slo,
-                arm.hit_rate,
-                arm.p95_turnaround_s,
-                arm.escalated,
+                slo.arrived,
+                arm.completions(SLO_TENANT),
+                arm.deadline_hit_rate(SLO_TENANT, self.config.deadline_s),
+                arm.p95_turnaround_s(SLO_TENANT),
+                slo.stats.escalated,
                 arm.provisioned,
                 arm.retired,
-                arm.knit_apps,
-                arm.knittable_rejected + arm.rejected_infeasible,
+                slo.knit,
+                slo.infeasible as usize + arm.rejected_for(RejectReason::Infeasible),
             ));
         }
+        let (aware, plain) = self.hit_rates();
         out.push_str(&format!(
-            "\nslo_aware holds the p95 deadline: {} (hit_rate {:.4})\n\
-             weighted_fair holds the p95 deadline: {} (hit_rate {:.4})\n",
-            self.slo_aware.report.hit_rate >= 0.95,
-            self.slo_aware.report.hit_rate,
-            self.weighted_fair.report.hit_rate >= 0.95,
-            self.weighted_fair.report.hit_rate,
+            "\nslo_aware holds the p95 deadline: {} (hit_rate {aware:.4})\n\
+             weighted_fair holds the p95 deadline: {} (hit_rate {plain:.4})\n",
+            aware >= 0.95,
+            plain >= 0.95,
         ));
         out
-    }
-}
-
-/// One pre-generated arrival: which tenant stream it belongs to and the
-/// application itself. Both arms consume the identical vector.
-#[derive(Debug, Clone)]
-struct OfferedArrival {
-    /// 0 = bulk tenant, 1 = SLO tenant.
-    stream: usize,
-    app: HybridApplication,
-}
-
-/// Pre-generate the full offered load from a dedicated RNG so both arms (and
-/// fault-injected re-runs) see byte-identical arrivals.
-fn offered_load(config: &SloConfig, fleet_max_qubits: u32) -> Vec<OfferedArrival> {
-    let constant = |rate: f64| ArrivalConfig {
-        mean_rate_per_hour: rate,
-        diurnal_amplitude: 0.0,
-        ..ArrivalConfig::default()
-    };
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0xA11A);
-    // Arrivals stop one full deadline window before the end of the run, so
-    // every application has the chance to prove a deadline hit — without the
-    // cutoff, late arrivals would count as structural misses in both arms.
-    let horizon_s = (config.duration_s - config.deadline_s - config.step_s).max(0.0);
-    // Bulk circuits always fit the base fleet; 5% carry mitigation stacks
-    // (heavy stacks multiply quantum time up to ~24x, so the mix sets how
-    // lumpy the background service times are).
-    let mut bulk = LoadGenerator::new(constant(config.bulk_rate_per_hour), fleet_max_qubits, 0.05);
-    // SLO circuits are unmitigated (the tenant pays for latency, not error
-    // bars) but may be wider than any device — those must be knit to run.
-    let mut slo_base = LoadGenerator::new(
-        constant(config.slo_base_rate_per_hour),
-        config.workload_max_qubits,
-        0.0,
-    );
-    let mut slo_burst = LoadGenerator::new(
-        constant(config.slo_burst_rate_per_hour),
-        config.workload_max_qubits,
-        0.0,
-    );
-    let mut merged: Vec<OfferedArrival> = Vec::new();
-    merged.extend(
-        bulk.arrivals_in(0.0, horizon_s, &mut rng)
-            .into_iter()
-            .map(|app| OfferedArrival { stream: 0, app }),
-    );
-    merged.extend(
-        slo_base
-            .arrivals_in(0.0, horizon_s, &mut rng)
-            .into_iter()
-            .map(|app| OfferedArrival { stream: 1, app }),
-    );
-    merged.extend(
-        slo_burst
-            .arrivals_in(config.burst_start_s, config.burst_end_s.min(horizon_s), &mut rng)
-            .into_iter()
-            .map(|app| OfferedArrival { stream: 1, app }),
-    );
-    merged.sort_by(|a, b| {
-        a.app.submit_time_s.partial_cmp(&b.app.submit_time_s).expect("submission times are finite")
-    });
-    for (id, arrival) in merged.iter_mut().enumerate() {
-        arrival.app.app_id = id as u64;
-    }
-    merged
-}
-
-/// Per-application progress: how many fragments are still outstanding and the
-/// latest fragment finish time seen so far.
-struct AppProgress {
-    stream: usize,
-    submit_s: f64,
-    outstanding: usize,
-    latest_finish_s: f64,
-    rejected: bool,
-}
-
-/// Run one arm of the scenario. `slo_aware` enables the SLO class, the
-/// escalation lane, the autoscaler, and retry-with-cutting; otherwise the
-/// identical offered load runs through plain weighted-fair admission.
-pub fn run_slo_arm(
-    config: &SloConfig,
-    slo_aware: bool,
-    plan: Option<&FailurePlan>,
-) -> SloArmOutcome {
-    let mut fleet_rng = StdRng::seed_from_u64(config.seed ^ 0xF1EE7);
-    let mut fed = FederatedFleet::single("base", Fleet::heterogeneous(&mut fleet_rng));
-    let base_len = fed.num_qpus();
-    let base_max_qubits = fed.fleet().max_qubits();
-    // Elastic devices are synthesized from their own stream so provisioning
-    // cannot perturb the simulation RNG.
-    let mut provision_rng = StdRng::seed_from_u64(config.seed ^ 0xE1A5);
-    let mut sim_rng = StdRng::seed_from_u64(config.seed);
-
-    let scheduler = HybridScheduler::with_warm_start(SchedulerConfig {
-        nsga2: config.nsga2,
-        preference: config.preference,
-        ..SchedulerConfig::default()
-    });
-    let trigger = ScheduleTrigger::new(config.trigger_queue_limit, config.trigger_interval_s)
-        .with_slo_margin(config.slo_margin_s);
-    let mut control = ReplicatedControlPlane::new(trigger, 1, config.seed ^ 0x51AB);
-    let bulk_tenant: TenantId = control
-        .register_tenant_with(TenantConfig {
-            weight: config.bulk_weight,
-            max_in_flight: 1_000_000,
-            max_retries: 1,
-        })
-        .expect("fresh store has a quorum");
-    let slo_config = TenantConfig { weight: 1, max_in_flight: 1_000_000, max_retries: 1 };
-    let slo_tenant: TenantId = if slo_aware {
-        control
-            .register_tenant_with_slo(
-                slo_config,
-                SloClass { deadline_s: config.deadline_s, priority: 1, max_error: 1.0 },
-            )
-            .expect("fresh store has a quorum")
-    } else {
-        control.register_tenant_with(slo_config).expect("fresh store has a quorum")
-    };
-    let tenant_of = [bulk_tenant, slo_tenant];
-
-    let mut scaler = Autoscaler::new(config.autoscaler);
-    let mut arrivals: VecDeque<OfferedArrival> =
-        offered_load(config, base_max_qubits).into_iter().collect();
-    let arrived_bulk = arrivals.iter().filter(|a| a.stream == 0).count() as u64;
-    let arrived_slo = arrivals.iter().filter(|a| a.stream == 1).count() as u64;
-
-    let mut tickets: HashMap<TicketId, u64> = HashMap::new();
-    let mut apps: HashMap<u64, AppProgress> = HashMap::new();
-    let mut completions: Vec<SloCompletion> = Vec::new();
-    let mut batches: Vec<BatchComposition> = Vec::new();
-    let mut crashes: Vec<CrashRecord> = Vec::new();
-    let mut crash_schedule: VecDeque<f64> =
-        plan.map(|p| p.crash_times_s.iter().copied().collect()).unwrap_or_default();
-    const DEFAULT_SNAPSHOT_EVERY_BATCHES: usize = 8;
-    let snapshot_every = plan.map_or(DEFAULT_SNAPSHOT_EVERY_BATCHES, |p| p.snapshot_every_batches);
-    let mut snapshots_installed = 0u64;
-    let mut completed_slo = 0u64;
-    let mut deadline_hits = 0u64;
-    let mut provisioned = 0u64;
-    let mut retired = 0u64;
-    let mut knit_apps = 0u64;
-    let mut knittable_rejected = 0u64;
-    let mut rejected_infeasible = 0u64;
-    let mut rejected_deadline = 0u64;
-    let mut rejected_retries = 0u64;
-    let mut turnarounds: Vec<f64> = Vec::new();
-
-    let mut t = 0.0f64;
-    while t < config.duration_s {
-        let t_next = (t + config.step_s).min(config.duration_s);
-
-        // 0. Fault injection: kill the leader at every scheduled instant in
-        //    (t, t_next], fail over, and continue on the rebuilt replica.
-        while crash_schedule.front().is_some_and(|&c| c <= t_next) {
-            let crash_t = crash_schedule.pop_front().expect("front checked");
-            let digest = control.state_digest();
-            let old_leader = control.leader().unwrap_or(0);
-            let replayed_events = control.replay_backlog();
-            control.crash_leader();
-            control.failover().expect("a majority of control replicas survives");
-            crashes.push(CrashRecord {
-                t_s: crash_t,
-                old_leader,
-                new_leader: control.leader().unwrap_or(old_leader),
-                replayed_events,
-                digest_matched: control.state_digest() == digest,
-            });
-        }
-
-        // 1. Advance QPU queues and resolve completions.
-        fed.fleet_mut().advance_to(t_next, &mut sim_rng);
-        let done = control.drain_completions(fed.fleet_mut());
-        let resolved = control.note_completions(&done).expect("control-plane journal has a quorum");
-        for (ticket, completion) in resolved {
-            let Some(app_id) = tickets.remove(&ticket.ticket) else { continue };
-            let Some(progress) = apps.get_mut(&app_id) else { continue };
-            progress.outstanding -= 1;
-            progress.latest_finish_s =
-                progress.latest_finish_s.max(completion.record.finish_time_s);
-            if progress.outstanding == 0 {
-                let progress = apps.remove(&app_id).expect("present above");
-                if progress.stream == 1 && !progress.rejected {
-                    completed_slo += 1;
-                    let turnaround = progress.latest_finish_s - progress.submit_s;
-                    let hit = turnaround <= config.deadline_s;
-                    deadline_hits += u64::from(hit);
-                    turnarounds.push(turnaround);
-                    completions.push(SloCompletion {
-                        app_id,
-                        submit_s: progress.submit_s,
-                        finish_s: progress.latest_finish_s,
-                        deadline_hit: hit,
-                    });
-                }
-            }
-        }
-
-        // 2. Arrivals in [t, t_next): non-blocking submission. Applications
-        //    too wide for every device are knit into half-width fragment jobs
-        //    in the SLO-aware arm and dropped in the plain arm.
-        while arrivals.front().is_some_and(|a| a.app.submit_time_s < t_next) {
-            let arrival = arrivals.pop_front().expect("front checked");
-            if slo_aware {
-                scaler.observe_arrival(arrival.app.submit_time_s, ResourceClass::Simulator);
-            }
-            let tenant = tenant_of[arrival.stream];
-            let fragments: Vec<HybridApplication> =
-                match build_submission(fed.fleet(), &arrival.app) {
-                    Some(_) => vec![arrival.app.clone()],
-                    None if slo_aware => {
-                        // Retry-with-cutting: split the circuit before any
-                        // retry budget is burned and submit the fragments.
-                        let cut = knitting::cut_in_half(&arrival.app.circuit);
-                        knit_apps += u64::from(arrival.stream == 1);
-                        cut.fragments
-                            .into_iter()
-                            .map(|circuit| HybridApplication {
-                                app_id: arrival.app.app_id,
-                                submit_time_s: arrival.app.submit_time_s,
-                                circuit,
-                                mitigation: MitigationStack::none(),
-                            })
-                            .collect()
-                    }
-                    None => {
-                        knittable_rejected += u64::from(arrival.stream == 1);
-                        continue;
-                    }
-                };
-            let specs: Vec<_> = fragments
-                .iter()
-                .filter_map(|app| build_submission(fed.fleet(), app).map(|(spec, _)| spec))
-                .collect();
-            if specs.is_empty() {
-                knittable_rejected += u64::from(arrival.stream == 1);
-                continue;
-            }
-            apps.insert(
-                arrival.app.app_id,
-                AppProgress {
-                    stream: arrival.stream,
-                    submit_s: arrival.app.submit_time_s,
-                    outstanding: specs.len(),
-                    latest_finish_s: 0.0,
-                    rejected: false,
-                },
-            );
-            for spec in specs {
-                let ticket = control
-                    .submit(tenant, spec, arrival.app.submit_time_s)
-                    .expect("streams map to registered tenants; journal has a quorum");
-                tickets.insert(ticket.ticket, arrival.app.app_id);
-            }
-        }
-
-        // 3. Elastic capacity: grow/shrink Simulator-class tail members of
-        //    the federated fleet, journaling every transition.
-        if slo_aware {
-            let elastic_now = fed.num_qpus() - base_len;
-            match scaler.decide(t_next, elastic_now) {
-                ScalingDecision::Grow(n) => {
-                    for _ in 0..n {
-                        let name = format!("elastic_sim_{provisioned}");
-                        let member = FleetMember {
-                            qpu: Qpu::new(name, QpuModel::falcon_27(), 1.3, &mut provision_rng)
-                                .with_resource_class(ResourceClass::Simulator)
-                                .with_cost_per_shot(0.05),
-                            queue: JobQueue::new(),
-                        };
-                        let index = fed.provision("elastic-sim", member);
-                        control
-                            .provision_qpu(t_next, index, ResourceClass::Simulator)
-                            .expect("control-plane journal has a quorum");
-                        provisioned += 1;
-                    }
-                }
-                ScalingDecision::Shrink(n) => {
-                    for _ in 0..n {
-                        if fed.num_qpus() <= base_len {
-                            break;
-                        }
-                        // The tail only retires once idle and drained.
-                        let Some(index) = fed.retire_last() else { break };
-                        control
-                            .retire_qpu(t_next, index)
-                            .expect("control-plane journal has a quorum");
-                        retired += 1;
-                    }
-                }
-                ScalingDecision::Hold => {}
-            }
-        }
-
-        // 4. Admission (escalation lane first in the SLO-aware arm, then the
-        //    DRR scan) and the trigger-gated batch dispatch.
-        control.admit(t_next).expect("control-plane journal has a quorum");
-        if let Some(outcome) = control
-            .try_dispatch(t_next, &scheduler, fed.fleet_mut())
-            .expect("control-plane journal has a quorum")
-        {
-            for ticket in &outcome.terminal_rejections {
-                match control.poll(*ticket) {
-                    Some(TicketStatus::Rejected { reason: RejectReason::Infeasible, .. }) => {
-                        rejected_infeasible += 1;
-                    }
-                    Some(TicketStatus::Rejected {
-                        reason: RejectReason::DeadlineMissed, ..
-                    }) => {
-                        rejected_deadline += 1;
-                    }
-                    _ => rejected_retries += 1,
-                }
-                if let Some(app_id) = tickets.remove(&ticket.ticket) {
-                    if let Some(progress) = apps.get_mut(&app_id) {
-                        progress.outstanding -= 1;
-                        progress.rejected = true;
-                        if progress.outstanding == 0 {
-                            apps.remove(&app_id);
-                        }
-                    }
-                }
-            }
-            let batch = &outcome.record;
-            batches.push(BatchComposition {
-                t_s: batch.t_s,
-                reason: batch.reason,
-                num_jobs: batch.job_ids.len(),
-                tenant_jobs: batch.tenant_jobs.clone(),
-                job_ids: batch.job_ids.clone(),
-            });
-            if snapshot_every > 0 && batches.len().is_multiple_of(snapshot_every) {
-                control.snapshot().expect("control-plane journal has a quorum");
-                snapshots_installed += 1;
-            }
-        }
-
-        t = t_next;
-    }
-
-    let escalated =
-        control.submissions().tenant_stats(slo_tenant).map(|s| s.escalated).unwrap_or(0);
-    turnarounds.sort_by(f64::total_cmp);
-    let p95_turnaround_s = if turnarounds.is_empty() {
-        0.0
-    } else {
-        let idx = ((turnarounds.len() as f64 * 0.95).ceil() as usize).max(1) - 1;
-        turnarounds[idx.min(turnarounds.len() - 1)]
-    };
-    let mean_turnaround_s = if turnarounds.is_empty() {
-        0.0
-    } else {
-        turnarounds.iter().sum::<f64>() / turnarounds.len() as f64
-    };
-    let dispatched_jobs = batches.iter().map(|b| b.num_jobs).sum();
-    let report = SloArmReport {
-        arrived_slo,
-        arrived_bulk,
-        completed_slo,
-        deadline_hits,
-        hit_rate: if arrived_slo == 0 { 1.0 } else { deadline_hits as f64 / arrived_slo as f64 },
-        p95_turnaround_s,
-        mean_turnaround_s,
-        escalated,
-        provisioned,
-        retired,
-        knit_apps,
-        knittable_rejected,
-        rejected_infeasible,
-        rejected_deadline,
-        rejected_retries,
-        batches: batches.len(),
-        dispatched_jobs,
-    };
-    let tenants = [bulk_tenant, slo_tenant]
-        .into_iter()
-        .map(|tenant| {
-            (tenant, control.submissions().tenant_stats(tenant).expect("tenant registered"))
-        })
-        .collect();
-    SloArmOutcome {
-        report,
-        batches,
-        completions,
-        tenants,
-        crashes,
-        snapshots_installed,
-        final_digest: control.state_digest(),
-        final_state: control.encode_state(),
     }
 }
 
@@ -670,8 +228,8 @@ pub fn run_slo_arm(
 pub fn run_slo_comparison(config: &SloConfig) -> SloComparison {
     SloComparison {
         config: config.clone(),
-        slo_aware: run_slo_arm(config, true, None),
-        weighted_fair: run_slo_arm(config, false, None),
+        slo_aware: run(&config.scenario(true), None),
+        weighted_fair: run(&config.scenario(false), None),
     }
 }
 
@@ -690,32 +248,49 @@ mod tests {
 
     #[test]
     fn slo_arm_escalates_scales_and_knits() {
-        let outcome = run_slo_arm(&quick_config(), true, None);
-        let r = outcome.report;
-        assert!(r.arrived_slo > 0 && r.arrived_bulk > 0, "load arrives on both streams");
-        assert!(r.completed_slo > 0, "SLO applications complete");
-        assert!(r.escalated > 0, "the bypass lane is exercised");
+        let r = run(&quick_config().scenario(true), None);
+        let slo = r.tenant(SLO_TENANT);
+        assert!(
+            slo.arrived > 0 && r.tenant(BULK_TENANT).arrived > 0,
+            "load arrives on both streams"
+        );
+        assert!(r.completions(SLO_TENANT) > 0, "SLO applications complete");
+        assert!(slo.stats.escalated > 0, "the bypass lane is exercised");
         assert!(r.provisioned > 0, "the burst provisions elastic capacity");
-        assert!(r.knit_apps > 0, "wide arrivals are knit, not dropped");
-        assert_eq!(r.knittable_rejected, 0, "nothing knittable is dropped");
-        assert_eq!(r.rejected_infeasible, 0, "nothing is terminally rejected as infeasible");
+        assert!(slo.knit > 0, "wide arrivals are knit, not dropped");
+        assert_eq!(slo.infeasible, 0, "nothing knittable is dropped");
+        assert_eq!(
+            r.rejected_for(RejectReason::Infeasible),
+            0,
+            "nothing is terminally rejected as infeasible"
+        );
     }
 
     #[test]
     fn arms_consume_identical_offered_load_and_slo_arm_wins() {
         let comparison = run_slo_comparison(&quick_config());
-        let slo = comparison.slo_aware.report;
-        let plain = comparison.weighted_fair.report;
-        assert_eq!(slo.arrived_slo, plain.arrived_slo, "identical offered load");
-        assert_eq!(slo.arrived_bulk, plain.arrived_bulk, "identical offered load");
+        let (slo, plain) = (&comparison.slo_aware, &comparison.weighted_fair);
+        for tenant in [SLO_TENANT, BULK_TENANT] {
+            assert_eq!(
+                slo.tenant(tenant).arrived,
+                plain.tenant(tenant).arrived,
+                "identical offered load"
+            );
+        }
+        let (slo_rate, plain_rate) = comparison.hit_rates();
         assert!(
-            slo.hit_rate > plain.hit_rate,
-            "SLO-aware hit rate {} must beat weighted-fair {}",
-            slo.hit_rate,
-            plain.hit_rate
+            slo_rate > plain_rate,
+            "SLO-aware hit rate {slo_rate} must beat weighted-fair {plain_rate}"
         );
-        assert!(plain.knittable_rejected > 0, "the plain arm drops what the cutter would save");
-        assert_eq!(plain.escalated, 0, "no escalations without an SLO class");
+        assert!(
+            plain.tenant(SLO_TENANT).infeasible > 0,
+            "the plain arm drops what the cutter would save"
+        );
+        assert_eq!(
+            plain.tenant(SLO_TENANT).stats.escalated,
+            0,
+            "no escalations without an SLO class"
+        );
         assert_eq!(plain.provisioned, 0, "no autoscaling without an SLO class");
         let summary = comparison.summary();
         assert!(summary.contains("slo_aware"));
@@ -724,10 +299,10 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run_slo_arm(&quick_config(), true, None);
-        let b = run_slo_arm(&quick_config(), true, None);
-        assert_eq!(a.final_digest, b.final_digest);
+        let a = run(&quick_config().scenario(true), None);
+        let b = run(&quick_config().scenario(true), None);
+        assert_eq!(a.final_digests, b.final_digests);
         assert_eq!(a.batches, b.batches);
-        assert_eq!(a.completions, b.completions);
+        assert_eq!(a.completed, b.completed);
     }
 }

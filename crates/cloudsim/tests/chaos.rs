@@ -1,4 +1,4 @@
-//! Seeded chaos suite: run the multi-tenant cloud simulation under a
+//! Seeded chaos suite: run multi-tenant cloud scenarios under a
 //! seed-derived crash schedule (leader kills mid-run, failover to a replica
 //! rebuilt from the replicated `snapshot + log replay`) across several seeds
 //! and assert the fault-tolerance invariants — no job lost, no job dispatched
@@ -8,12 +8,9 @@
 //! seed per matrix leg; unset runs the whole default set) and uploads the
 //! emitted `failover_summary.txt` artifact.
 
-use qonductor_cloudsim::sim::{CloudSimulation, Policy, SimulationConfig};
-use qonductor_cloudsim::{
-    ArrivalConfig, FailurePlan, MultiTenantConfig, MultiTenantSimulation, TenantArrivalConfig,
-    TenantLoad,
-};
-use qonductor_scheduler::{Nsga2Config, Preference};
+use qonductor_cloudsim::multitenant::saturating;
+use qonductor_cloudsim::{default_fleet, run, ArrivalConfig, FailurePlan, Scenario};
+use qonductor_scheduler::{Nsga2Config, ScheduleTrigger, SchedulerConfig};
 use std::collections::HashMap;
 use std::io::Write;
 
@@ -22,34 +19,8 @@ const DEFAULT_SEEDS: [u64; 5] = [11, 23, 37, 41, 59];
 const DURATION_S: f64 = 400.0;
 const CRASHES_PER_RUN: usize = 3;
 
-fn chaos_config(seed: u64) -> MultiTenantConfig {
-    let stream = |rate: f64| TenantArrivalConfig {
-        arrival: ArrivalConfig {
-            mean_rate_per_hour: rate,
-            diurnal_amplitude: 0.0,
-            ..Default::default()
-        },
-        mitigation_fraction: 0.3,
-    };
-    MultiTenantConfig {
-        duration_s: DURATION_S,
-        step_s: 10.0,
-        tenants: vec![
-            TenantLoad {
-                weight: 2,
-                arrivals: stream(6000.0),
-                max_in_flight: 1_000_000,
-                ..TenantLoad::default()
-            },
-            TenantLoad {
-                weight: 1,
-                arrivals: stream(6000.0),
-                max_in_flight: 1_000_000,
-                ..TenantLoad::default()
-            },
-        ],
-        trigger_queue_limit: 15,
-        trigger_interval_s: 40.0,
+fn small_scheduler() -> SchedulerConfig {
+    SchedulerConfig {
         nsga2: Nsga2Config {
             population_size: 16,
             max_generations: 10,
@@ -57,8 +28,15 @@ fn chaos_config(seed: u64) -> MultiTenantConfig {
             num_threads: 2,
             ..Nsga2Config::default()
         },
-        preference: Preference::balanced(),
-        seed,
+        ..SchedulerConfig::default()
+    }
+}
+
+fn chaos_scenario(seed: u64) -> Scenario {
+    Scenario {
+        trigger: ScheduleTrigger::new(15, 40.0),
+        scheduler: small_scheduler(),
+        ..saturating(&[2, 1], 6000.0, DURATION_S, seed)
     }
 }
 
@@ -79,8 +57,7 @@ fn seeded_chaos_loses_no_job_and_dispatches_none_twice() {
     );
     for seed in seeds_under_test() {
         let plan = FailurePlan::from_seed(seed, DURATION_S, CRASHES_PER_RUN);
-        let chaos =
-            MultiTenantSimulation::with_default_fleet(chaos_config(seed)).run_with_failures(&plan);
+        let chaos = run(&chaos_scenario(seed), Some(&plan));
 
         assert_eq!(chaos.crashes.len(), CRASHES_PER_RUN, "seed {seed}: all crashes injected");
         assert!(
@@ -91,7 +68,7 @@ fn seeded_chaos_loses_no_job_and_dispatches_none_twice() {
 
         // No job lost: every submitted ticket is still accounted for.
         assert_eq!(chaos.lost_tickets(), 0, "seed {seed}: tickets were lost");
-        for outcome in &chaos.report.tenants {
+        for outcome in &chaos.tenants {
             let s = outcome.stats;
             assert_eq!(
                 s.queued as u64 + s.in_flight as u64 + s.completed + s.rejected,
@@ -106,37 +83,36 @@ fn seeded_chaos_loses_no_job_and_dispatches_none_twice() {
         // batch, and batch compositions stay internally consistent.
         assert_eq!(
             chaos.double_dispatched_jobs(),
-            Vec::<u64>::new(),
+            Vec::new(),
             "seed {seed}: double dispatch detected"
         );
         let mut per_batch: HashMap<u64, usize> = HashMap::new();
-        for batch in &chaos.report.batches {
-            assert_eq!(batch.job_ids.len(), batch.num_jobs);
+        for batch in &chaos.batches {
             let composition: usize = batch.tenant_jobs.iter().map(|(_, n)| n).sum();
-            assert_eq!(composition, batch.num_jobs, "seed {seed}: composition mismatch");
+            assert_eq!(composition, batch.job_ids.len(), "seed {seed}: composition mismatch");
             for &job in &batch.job_ids {
                 *per_batch.entry(job).or_insert(0) += 1;
             }
         }
         assert!(per_batch.values().all(|&n| n == 1));
 
-        let dispatched: usize = chaos.report.batches.iter().map(|b| b.num_jobs).sum();
+        let dispatched = chaos.dispatched_jobs();
         let max_replayed = chaos.crashes.iter().map(|c| c.replayed_events).max().unwrap_or(0);
         summary.push_str(&format!(
             "{seed},{},{},{},{dispatched},{},0,0,true,{max_replayed}\n",
             chaos.crashes.len(),
             chaos.snapshots_installed,
-            chaos.report.batches.len(),
-            chaos.report.completed.len(),
+            chaos.batches.len(),
+            chaos.completed.len(),
         ));
         println!(
             "seed {seed}: {} crashes, {} snapshots, {} batches, {} jobs dispatched, {} completed, \
              max replay suffix {max_replayed} events",
             chaos.crashes.len(),
             chaos.snapshots_installed,
-            chaos.report.batches.len(),
+            chaos.batches.len(),
             dispatched,
-            chaos.report.completed.len(),
+            chaos.completed.len(),
         );
     }
 
@@ -154,43 +130,33 @@ fn seeded_chaos_loses_no_job_and_dispatches_none_twice() {
 /// batch must actually dispatch from an adopted plan.
 #[test]
 fn pipelined_chaos_runs_are_byte_identical_to_the_live_path() {
-    let config = |seed: u64, pipeline: bool| SimulationConfig {
-        duration_s: DURATION_S,
-        step_s: 10.0,
-        arrival: ArrivalConfig {
-            // Light enough that some steps see no arrival and the QPUs go
-            // idle: the scheduler inputs are then unchanged between planning
-            // and the firing and the cached plan adopts.
-            mean_rate_per_hour: 200.0,
-            diurnal_amplitude: 0.0,
-            ..Default::default()
-        },
-        mitigation_fraction: 0.3,
-        policy: Policy::Qonductor { preference: Preference::balanced() },
-        trigger_queue_limit: 15,
-        trigger_interval_s: 40.0,
-        metrics_interval_s: 100.0,
-        nsga2: Nsga2Config {
-            population_size: 16,
-            max_generations: 10,
-            max_evaluations: 1000,
-            num_threads: 2,
-            ..Nsga2Config::default()
-        },
+    let scenario = |seed: u64, plan_ahead: bool| Scenario {
+        trigger: ScheduleTrigger::new(15, 40.0),
+        scheduler: small_scheduler(),
         calibration: qonductor_core::CalibrationPolicy::SplitAtBoundary,
-        pipeline_planning: pipeline,
-        boundary_penalty_weight: 0.0,
-        cost_weight: 0.0,
-        seed,
+        plan_ahead,
+        sample_every_s: 100.0,
+        // Light enough that some steps see no arrival and the QPUs go idle:
+        // the scheduler inputs are then unchanged between planning and the
+        // firing and the cached plan adopts.
+        ..Scenario::paper(
+            default_fleet(seed),
+            ArrivalConfig {
+                mean_rate_per_hour: 200.0,
+                diurnal_amplitude: 0.0,
+                ..Default::default()
+            },
+            0.3,
+            DURATION_S,
+            seed,
+        )
     };
 
     let mut adopted_total = 0usize;
     for seed in seeds_under_test() {
         let plan = FailurePlan::from_seed(seed, DURATION_S, CRASHES_PER_RUN);
-        let pipelined =
-            CloudSimulation::with_default_fleet(config(seed, true)).run_with_failures(&plan);
-        let live =
-            CloudSimulation::with_default_fleet(config(seed, false)).run_with_failures(&plan);
+        let pipelined = run(&scenario(seed, true), Some(&plan));
+        let live = run(&scenario(seed, false), Some(&plan));
 
         assert_eq!(pipelined.crashes.len(), CRASHES_PER_RUN, "seed {seed}: all crashes injected");
         assert!(
@@ -198,27 +164,24 @@ fn pipelined_chaos_runs_are_byte_identical_to_the_live_path() {
             "seed {seed}: a failover rebuilt divergent state: {:?}",
             pipelined.crashes
         );
+        assert_eq!(pipelined.batches, live.batches, "seed {seed}: pipelining changed a dispatch");
         assert_eq!(
-            pipelined.report.dispatches, live.report.dispatches,
-            "seed {seed}: pipelining changed a dispatch"
-        );
-        assert_eq!(
-            pipelined.report.completed, live.report.completed,
+            pipelined.completed, live.completed,
             "seed {seed}: pipelining changed a completion"
         );
         // Compare the encode_state oracle: the incremental digests diverge
         // legitimately here (the journaled `speculative` flag differs
         // between the arms) while the replicated *state* must not.
         assert_eq!(
-            pipelined.final_state, live.final_state,
+            pipelined.final_states, live.final_states,
             "seed {seed}: pipelining changed the final control-plane state"
         );
-        assert_eq!(live.report.speculative_batches, 0, "the live arm never speculates");
-        adopted_total += pipelined.report.speculative_batches;
+        assert_eq!(live.speculative_batches, 0, "the live arm never speculates");
+        adopted_total += pipelined.speculative_batches;
         println!(
             "seed {seed}: {} of {} batches dispatched from adopted plans",
-            pipelined.report.speculative_batches,
-            pipelined.report.dispatches.len(),
+            pipelined.speculative_batches,
+            pipelined.batches.len(),
         );
     }
     // Non-vacuousness holds over the whole default seed set; a single-seed

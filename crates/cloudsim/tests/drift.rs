@@ -9,10 +9,8 @@
 //! CI runs this suite and uploads the emitted `calibration_drift_summary.txt`
 //! artifact.
 
-use qonductor_cloudsim::sim::SimulationReport;
 use qonductor_cloudsim::{
-    run_drift_comparison, run_penalty_comparison, CloudSimulation, DriftConfig, FailurePlan,
-    SimulationConfig,
+    run, run_drift_comparison, run_penalty_comparison, DriftConfig, FailurePlan, Report,
 };
 use qonductor_core::CalibrationPolicy;
 use std::io::Write;
@@ -44,8 +42,8 @@ fn calibration_aware_dispatch_reduces_fidelity_error_under_drift() {
 
     // Deferral is a delay, not a drop: every arrival is accounted for.
     for report in [&comparison.aware, &comparison.naive] {
-        let enqueued: usize = report.dispatches.iter().map(|d| d.enqueued.len()).sum();
-        assert!(enqueued + report.rejected <= report.arrived);
+        let enqueued: usize = report.batches.iter().map(|d| d.enqueued.len()).sum();
+        assert!(enqueued as u64 + report.rejected() <= report.arrived());
     }
 
     let summary = format!(
@@ -84,9 +82,8 @@ fn calibration_aware_dispatch_reduces_fidelity_error_under_drift() {
 /// at a recalibration boundary. Deferred jobs re-enter later batches, so the
 /// rate (not the absolute count) is the comparable quantity between arms
 /// whose throughput differs.
-fn deferral_rate(report: &SimulationReport) -> f64 {
-    let handed: usize = report.dispatches.iter().map(|d| d.job_ids.len()).sum();
-    report.deferred_total() as f64 / handed.max(1) as f64
+fn deferral_rate(report: &Report) -> f64 {
+    report.deferred_total() as f64 / report.dispatched_jobs().max(1) as f64
 }
 
 /// The proactive boundary penalty: steering NSGA-II away from plans whose
@@ -149,27 +146,24 @@ fn boundary_penalty_reduces_split_deferrals_at_equal_or_better_fidelity_error() 
 /// refreshed estimates) replays exactly from `snapshot + log replay`.
 #[test]
 fn drift_scenario_split_decisions_survive_leader_crashes_byte_for_byte() {
-    let config = DriftConfig::default();
-    let aware = SimulationConfig {
-        calibration: CalibrationPolicy::SplitAtBoundary,
-        duration_s: 1000.0,
-        ..config.base
-    };
-    let plan = FailurePlan::from_seed(aware.seed, aware.duration_s, 3);
-    let chaos = CloudSimulation::with_drifting_fleet(aware, config.calibration_period_s)
-        .run_with_failures(&plan);
-    let plain = CloudSimulation::with_drifting_fleet(aware, config.calibration_period_s)
-        .run_with_failures(&FailurePlan {
+    let config = DriftConfig { duration_s: 1000.0, ..DriftConfig::default() };
+    let aware = config.scenario(CalibrationPolicy::SplitAtBoundary);
+    let plan = FailurePlan::from_seed(config.seed, config.duration_s, 3);
+    let chaos = run(&aware, Some(&plan));
+    let plain = run(
+        &aware,
+        Some(&FailurePlan {
             crash_times_s: vec![],
             snapshot_every_batches: plan.snapshot_every_batches,
-        });
+        }),
+    );
 
     assert_eq!(chaos.crashes.len(), 3, "all crashes injected");
     assert!(chaos.all_digests_matched(), "a failover rebuilt divergent state: {:?}", chaos.crashes);
-    assert!(chaos.report.split_batches() > 0, "the fault-injected run must still cross boundaries");
+    assert!(chaos.split_batches() > 0, "the fault-injected run must still cross boundaries");
     // Byte-identical split decisions and final state.
-    assert_eq!(chaos.report.dispatches, plain.report.dispatches);
-    assert_eq!(chaos.final_digest, plain.final_digest);
-    assert_eq!(chaos.report.completed, plain.report.completed);
-    assert_eq!(chaos.report.reestimated_jobs, plain.report.reestimated_jobs);
+    assert_eq!(chaos.batches, plain.batches);
+    assert_eq!(chaos.final_digests, plain.final_digests);
+    assert_eq!(chaos.completed, plain.completed);
+    assert_eq!(chaos.reestimated_jobs, plain.reestimated_jobs);
 }

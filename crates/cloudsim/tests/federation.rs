@@ -7,11 +7,12 @@
 //! the emitted `federation_summary.txt` artifact.
 
 use qonductor_backend::Fleet;
-use qonductor_cloudsim::sim::{CloudSimulation, Policy, SimulationConfig};
-use qonductor_cloudsim::{run_federation_comparison, FailurePlan, FederationConfig};
+use qonductor_cloudsim::{
+    default_fleet, run, run_federation_comparison, FailurePlan, FederationConfig, Scenario,
+};
 use qonductor_core::federation::FederatedFleet;
 use qonductor_core::jobmanager::CalibrationPolicy;
-use qonductor_scheduler::{Nsga2Config, Preference};
+use qonductor_scheduler::{Nsga2Config, ScheduleTrigger, SchedulerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write;
@@ -33,10 +34,7 @@ fn scenario_seed() -> u64 {
 #[test]
 fn outage_comparison_meets_the_cost_and_maintenance_acceptance() {
     let seed = scenario_seed();
-    let config = FederationConfig {
-        base: SimulationConfig { seed, ..FederationConfig::default().base },
-        ..FederationConfig::default()
-    };
+    let config = FederationConfig { seed, ..FederationConfig::default() };
     let comparison = run_federation_comparison(&config);
 
     // Emit the artifact first so CI uploads it even when an assertion trips.
@@ -83,50 +81,41 @@ fn outage_comparison_meets_the_cost_and_maintenance_acceptance() {
 /// same final journal digest.
 #[test]
 fn a_single_provider_federation_is_byte_identical_to_the_flat_plane() {
-    let config = SimulationConfig {
-        duration_s: 600.0,
-        step_s: 10.0,
-        policy: Policy::Qonductor { preference: Preference::balanced() },
-        trigger_queue_limit: 15,
-        trigger_interval_s: 45.0,
-        metrics_interval_s: 100.0,
-        nsga2: Nsga2Config {
-            population_size: 16,
-            max_generations: 10,
-            max_evaluations: 1000,
-            num_threads: 2,
-            ..Nsga2Config::default()
+    let flat = Scenario {
+        trigger: ScheduleTrigger::new(15, 45.0),
+        scheduler: SchedulerConfig {
+            nsga2: Nsga2Config {
+                population_size: 16,
+                max_generations: 10,
+                max_evaluations: 1000,
+                num_threads: 2,
+                ..Nsga2Config::default()
+            },
+            ..SchedulerConfig::default()
         },
         calibration: CalibrationPolicy::SplitAtBoundary,
-        pipeline_planning: true,
-        seed: 41,
-        ..SimulationConfig::default()
+        plan_ahead: true,
+        sample_every_s: 100.0,
+        ..Scenario::paper(default_fleet(41), Default::default(), 0.5, 600.0, 41)
     };
     let no_crashes = FailurePlan { crash_times_s: Vec::new(), snapshot_every_batches: 8 };
 
-    // Arm A: the plain unfederated fleet (CloudSimulation::with_default_fleet
-    // seeds the fleet RNG with seed ^ 0xF1EE7 — replicate it exactly).
-    let flat = CloudSimulation::with_default_fleet(config).run_with_failures(&no_crashes);
-
-    // Arm B: the identical fleet wrapped in a single-provider federation.
-    let mut fleet_rng = StdRng::seed_from_u64(config.seed ^ 0xF1EE7);
+    // Arm B: the identical fleet (`Scenario::paper` seeds the fleet RNG with
+    // seed ^ 0xF1EE7 — replicate it exactly) wrapped in a single-provider
+    // federation.
+    let mut fleet_rng = StdRng::seed_from_u64(flat.seed ^ 0xF1EE7);
     let federation = FederatedFleet::single("ibm", Fleet::ibm_default(&mut fleet_rng));
     assert_eq!(federation.provider_of(0), Some("ibm"));
-    let federated =
-        CloudSimulation::new(config, federation.into_fleet()).run_with_failures(&no_crashes);
+    let federated = Scenario { fleet: federation.into_fleet(), ..flat.clone() };
 
+    let flat = run(&flat, Some(&no_crashes));
+    let federated = run(&federated, Some(&no_crashes));
+    assert_eq!(flat.batches, federated.batches, "dispatch streams must match batch-for-batch");
+    assert_eq!(flat.completed, federated.completed, "completions must match app-for-app");
+    assert_eq!(flat.qpu_names, federated.qpu_names);
     assert_eq!(
-        flat.report.dispatches, federated.report.dispatches,
-        "dispatch streams must match batch-for-batch"
-    );
-    assert_eq!(
-        flat.report.completed, federated.report.completed,
-        "completions must match app-for-app"
-    );
-    assert_eq!(flat.report.qpu_names, federated.report.qpu_names);
-    assert_eq!(
-        flat.final_state, federated.final_state,
+        flat.final_states, federated.final_states,
         "final control-plane states must be byte-identical"
     );
-    assert_eq!(flat.report.speculative_batches, federated.report.speculative_batches);
+    assert_eq!(flat.speculative_batches, federated.speculative_batches);
 }

@@ -7,8 +7,9 @@
 //! (`QONDUCTOR_CHAOS_SEED=<seed>` selects one leg; unset runs the default
 //! set).
 
-use qonductor_cloudsim::{FailurePlan, ShardedSimConfig, ShardedSimulation};
-use qonductor_core::jobmanager::CalibrationPolicy;
+use qonductor_cloudsim::sharded::{pairs, HEAVY_WEIGHT};
+use qonductor_cloudsim::{run, FailurePlan, Scenario};
+use qonductor_core::jobmanager::{CalibrationPolicy, TenantId};
 use qonductor_core::sharding::ShardedControlPlane;
 use qonductor_scheduler::ScheduleTrigger;
 
@@ -17,8 +18,15 @@ const DEFAULT_SEEDS: [u64; 5] = [11, 23, 37, 41, 59];
 const DURATION_S: f64 = 300.0;
 const CRASHES_PER_RUN: usize = 3;
 
-fn sharded_config(seed: u64) -> ShardedSimConfig {
-    ShardedSimConfig { duration_s: DURATION_S, seed, ..ShardedSimConfig::default() }
+fn sharded_scenario(seed: u64) -> Scenario {
+    pairs(2, DURATION_S, seed)
+}
+
+/// The heavy tenant of every shard.
+fn heavy_tenants(scenario: &Scenario) -> Vec<TenantId> {
+    (0..scenario.tenants.len() as TenantId)
+        .filter(|&t| scenario.tenants[t as usize].config.weight == HEAVY_WEIGHT)
+        .collect()
 }
 
 /// Seeds under test: the single `QONDUCTOR_CHAOS_SEED` if set (one CI matrix
@@ -37,16 +45,18 @@ fn seeds_under_test() -> Vec<u64> {
 #[test]
 fn sharded_fairness_composes_to_the_global_weighted_split() {
     for seed in seeds_under_test() {
-        let report = ShardedSimulation::with_default_fleet(sharded_config(seed)).run();
+        let scenario = sharded_scenario(seed);
+        let report = run(&scenario, None);
         assert!(!report.batches.is_empty(), "seed {seed}: batches must dispatch");
         assert!(!report.completed.is_empty(), "seed {seed}: applications must complete");
-        for shard in 0..report.num_shards {
+        for shard in 0..scenario.shards {
             assert!(
                 report.batches.iter().any(|b| b.shard == shard),
                 "seed {seed}: shard {shard} never dispatched"
             );
         }
-        let share = report.heavy_share();
+        let share: f64 =
+            heavy_tenants(&scenario).into_iter().map(|t| report.admitted_share(t)).sum();
         assert!(
             (share - 2.0 / 3.0).abs() <= 0.1,
             "seed {seed}: heavy global share {share} strays from 2/3"
@@ -64,8 +74,7 @@ fn sharded_fairness_composes_to_the_global_weighted_split() {
 fn sharded_failovers_are_byte_exact_per_shard_across_the_seed_matrix() {
     for seed in seeds_under_test() {
         let plan = FailurePlan::from_seed(seed, DURATION_S, CRASHES_PER_RUN);
-        let chaos =
-            ShardedSimulation::with_default_fleet(sharded_config(seed)).run_with_failures(&plan);
+        let chaos = run(&sharded_scenario(seed), Some(&plan));
         assert_eq!(chaos.crashes.len(), CRASHES_PER_RUN, "seed {seed}");
         assert!(
             chaos.all_digests_matched(),
@@ -79,7 +88,7 @@ fn sharded_failovers_are_byte_exact_per_shard_across_the_seed_matrix() {
         assert_eq!(chaos.lost_tickets(), 0, "seed {seed}");
         assert!(chaos.double_dispatched_jobs().is_empty(), "seed {seed}");
 
-        let plain = ShardedSimulation::with_default_fleet(sharded_config(seed)).run();
+        let plain = run(&sharded_scenario(seed), None);
         assert_eq!(chaos.batches, plain.batches, "seed {seed}: batch streams diverged");
         assert_eq!(chaos.completed, plain.completed, "seed {seed}: completions diverged");
         // The chaos and plain runs snapshot on different cadences, so their
@@ -115,7 +124,7 @@ fn leader_death_between_lease_journal_and_use_neither_leaks_nor_double_grants() 
     // grant journaled on shard 1, and the leader dies before shard 1 ever
     // dispatches onto it.
     assert_eq!(plane.release_qpu(0, 0, &fleet).unwrap(), Ok(()));
-    assert!(plane.lease_qpu(1, 0).unwrap());
+    assert_eq!(plane.lease_qpu(1, 0).unwrap(), Ok(()));
     let digests = plane.state_digests();
     plane.crash_all_leaders();
     plane.failover_all().expect("both shards fail over");
@@ -125,7 +134,7 @@ fn leader_death_between_lease_journal_and_use_neither_leaks_nor_double_grants() 
     assert_eq!(&rebuilt, plane.allocator(), "live and journaled lease state agree");
     // The grant is exclusive after replay: shard 0 cannot claim QPU 0 back
     // without shard 1 releasing it.
-    assert!(!plane.lease_qpu(0, 0).unwrap());
+    assert!(plane.lease_qpu(0, 0).unwrap().is_err());
     assert_eq!(plane.release_qpu(1, 0, &fleet).unwrap(), Ok(()));
-    assert!(plane.lease_qpu(0, 0).unwrap());
+    assert_eq!(plane.lease_qpu(0, 0).unwrap(), Ok(()));
 }

@@ -10,7 +10,9 @@
 //! CI runs the chaos test as a seed matrix (`QONDUCTOR_CHAOS_SEED=<seed>`
 //! selects one leg; unset runs the whole default set).
 
-use qonductor_cloudsim::{run_slo_arm, run_slo_comparison, FailurePlan, SloConfig};
+use qonductor_cloudsim::slo::{BULK_TENANT, SLO_TENANT};
+use qonductor_cloudsim::{run, run_slo_comparison, FailurePlan, SloConfig};
+use qonductor_core::submission::RejectReason;
 use std::io::Write;
 
 /// Default seed matrix (CI runs one leg per seed).
@@ -47,13 +49,13 @@ fn slo_aware_holds_p95_deadlines_weighted_fair_misses() {
         deadline_s = comparison.config.deadline_s;
         text.push_str(&comparison.summary());
         text.push('\n');
-        let slo = comparison.slo_aware.report;
-        let plain = comparison.weighted_fair.report;
+        let (slo_rate, plain_rate) = comparison.hit_rates();
         entries.push(format!(
-            "    {{\"seed\": {seed}, \"slo_aware_hit_rate\": {:.6}, \
-             \"weighted_fair_hit_rate\": {:.6}, \"slo_aware_p95_turnaround_s\": {:.3}, \
+            "    {{\"seed\": {seed}, \"slo_aware_hit_rate\": {slo_rate:.6}, \
+             \"weighted_fair_hit_rate\": {plain_rate:.6}, \"slo_aware_p95_turnaround_s\": {:.3}, \
              \"weighted_fair_p95_turnaround_s\": {:.3}}}",
-            slo.hit_rate, plain.hit_rate, slo.p95_turnaround_s, plain.p95_turnaround_s,
+            comparison.slo_aware.p95_turnaround_s(SLO_TENANT),
+            comparison.weighted_fair.p95_turnaround_s(SLO_TENANT),
         ));
         results.push((seed, comparison));
     }
@@ -77,35 +79,38 @@ fn slo_aware_holds_p95_deadlines_weighted_fair_misses() {
     println!("{text}");
 
     for (seed, comparison) in &results {
-        let slo = comparison.slo_aware.report;
-        let plain = comparison.weighted_fair.report;
-        assert_eq!(slo.arrived_slo, plain.arrived_slo, "seed {seed}: identical offered load");
-        assert_eq!(slo.arrived_bulk, plain.arrived_bulk, "seed {seed}: identical offered load");
+        let (slo, plain) = (&comparison.slo_aware, &comparison.weighted_fair);
+        let (slo_rate, plain_rate) = comparison.hit_rates();
+        for tenant in [SLO_TENANT, BULK_TENANT] {
+            assert_eq!(
+                slo.tenant(tenant).arrived,
+                plain.tenant(tenant).arrived,
+                "seed {seed}: identical offered load"
+            );
+        }
         assert!(
-            slo.hit_rate >= 0.95,
-            "seed {seed}: SLO-aware arm must hold the p95 deadline, hit rate {}",
-            slo.hit_rate
+            slo_rate >= 0.95,
+            "seed {seed}: SLO-aware arm must hold the p95 deadline, hit rate {slo_rate}"
         );
         assert!(
-            plain.hit_rate < 0.95,
-            "seed {seed}: plain weighted-fair must miss the p95 deadline, hit rate {}",
-            plain.hit_rate
+            plain_rate < 0.95,
+            "seed {seed}: plain weighted-fair must miss the p95 deadline, hit rate {plain_rate}"
         );
         assert!(
-            slo.p95_turnaround_s <= comparison.config.deadline_s,
+            slo.p95_turnaround_s(SLO_TENANT) <= comparison.config.deadline_s,
             "seed {seed}: SLO-aware p95 turnaround {} exceeds the deadline",
-            slo.p95_turnaround_s
+            slo.p95_turnaround_s(SLO_TENANT)
         );
         // The machinery is exercised, not vacuous.
-        assert!(slo.escalated > 0, "seed {seed}: escalation lane used");
+        assert!(slo.tenant(SLO_TENANT).stats.escalated > 0, "seed {seed}: escalation lane used");
         assert!(slo.provisioned > 0, "seed {seed}: elastic capacity provisioned");
-        assert!(slo.knit_apps > 0, "seed {seed}: wide arrivals knit into fragments");
+        assert!(slo.tenant(SLO_TENANT).knit > 0, "seed {seed}: wide arrivals knit into fragments");
         // Zero jobs terminally rejected that retry-with-cutting could have
         // knit.
-        assert_eq!(slo.knittable_rejected, 0, "seed {seed}");
-        assert_eq!(slo.rejected_infeasible, 0, "seed {seed}");
+        assert_eq!(slo.tenant(SLO_TENANT).infeasible, 0, "seed {seed}");
+        assert_eq!(slo.rejected_for(RejectReason::Infeasible), 0, "seed {seed}");
         assert!(
-            plain.knittable_rejected > 0,
+            plain.tenant(SLO_TENANT).infeasible > 0,
             "seed {seed}: the plain arm drops knittable arrivals"
         );
     }
@@ -126,8 +131,8 @@ fn slo_chaos_runs_are_byte_identical_to_failure_free_runs() {
     for seed in seeds_under_test() {
         let config = scenario(seed);
         let plan = FailurePlan::from_seed(seed, config.duration_s, CRASHES_PER_RUN);
-        let chaos = run_slo_arm(&config, true, Some(&plan));
-        let plain = run_slo_arm(&config, true, None);
+        let chaos = run(&config.scenario(true), Some(&plan));
+        let plain = run(&config.scenario(true), None);
 
         assert_eq!(chaos.crashes.len(), CRASHES_PER_RUN, "seed {seed}: all crashes injected");
         assert!(
@@ -136,39 +141,48 @@ fn slo_chaos_runs_are_byte_identical_to_failure_free_runs() {
             chaos.crashes
         );
         for crash in &chaos.crashes {
-            assert_ne!(crash.old_leader, crash.new_leader, "failover elected a new leader");
+            for (old, new) in &crash.leaders {
+                assert_ne!(old, new, "failover elected a new leader");
+            }
         }
         assert_eq!(chaos.batches, plain.batches, "seed {seed}: chaos changed a dispatch");
-        assert_eq!(chaos.completions, plain.completions, "seed {seed}: chaos changed a completion");
+        assert_eq!(chaos.completed, plain.completed, "seed {seed}: chaos changed a completion");
         // The chaos and plain arms snapshot on different cadences, so their
         // incremental digests are not comparable — compare the byte oracle.
         assert_eq!(
-            chaos.final_state, plain.final_state,
+            chaos.final_states, plain.final_states,
             "seed {seed}: chaos changed the final control-plane state"
         );
-        assert_eq!(chaos.report, plain.report, "seed {seed}: chaos changed the aggregate report");
+        assert_eq!(chaos.tenants, plain.tenants, "seed {seed}: chaos changed a tenant ledger");
+        assert_eq!(chaos.rejections, plain.rejections, "seed {seed}: chaos changed a rejection");
+        assert_eq!(
+            (chaos.provisioned, chaos.retired),
+            (plain.provisioned, plain.retired),
+            "seed {seed}: chaos changed the elastic capacity"
+        );
         assert!(chaos.snapshots_installed > 0, "seed {seed}: checkpoints compacted the journal");
 
+        let slo = chaos.tenant(SLO_TENANT);
         summary.push_str(&format!(
             "{seed},{},{},{},{},{},{},{},true,true\n",
             chaos.crashes.len(),
             chaos.snapshots_installed,
-            chaos.report.batches,
-            chaos.report.completed_slo,
-            chaos.report.escalated,
-            chaos.report.provisioned,
-            chaos.report.retired,
+            chaos.batches.len(),
+            chaos.completions(SLO_TENANT),
+            slo.stats.escalated,
+            chaos.provisioned,
+            chaos.retired,
         ));
         println!(
             "seed {seed}: {} crashes, {} snapshots, {} batches, {} SLO completions, \
              {} escalated, {} provisioned, {} retired — byte-identical",
             chaos.crashes.len(),
             chaos.snapshots_installed,
-            chaos.report.batches,
-            chaos.report.completed_slo,
-            chaos.report.escalated,
-            chaos.report.provisioned,
-            chaos.report.retired,
+            chaos.batches.len(),
+            chaos.completions(SLO_TENANT),
+            slo.stats.escalated,
+            chaos.provisioned,
+            chaos.retired,
         );
     }
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("slo_chaos_summary.txt");
@@ -191,28 +205,36 @@ fn escalation_never_violates_conservation_across_seeds() {
             seed,
             ..SloConfig::default()
         };
-        let outcome = run_slo_arm(&config, true, None);
-        let r = outcome.report;
-        assert!(r.escalated > 0, "seed {seed}: the property is not vacuous");
+        let r = run(&config.scenario(true), None);
+        assert!(
+            r.tenant(SLO_TENANT).stats.escalated > 0,
+            "seed {seed}: the property is not vacuous"
+        );
         // Ledger balance: a ticket admitted both by the bypass lane and the
         // DRR scan would be counted twice and break this exact identity.
-        for (tenant, stats) in &outcome.tenants {
+        for outcome in &r.tenants {
+            let stats = outcome.stats;
             assert_eq!(
                 stats.queued as u64 + stats.in_flight as u64 + stats.completed + stats.rejected,
                 stats.submitted,
-                "seed {seed}: tenant {tenant} ledger out of balance"
+                "seed {seed}: tenant {} ledger out of balance",
+                outcome.tenant
             );
         }
         // Every dispatched engine job id appears exactly once.
         let mut seen = std::collections::HashSet::new();
-        for batch in &outcome.batches {
-            assert_eq!(batch.job_ids.len(), batch.num_jobs, "seed {seed}: batch self-consistent");
+        for batch in &r.batches {
+            let composition: usize = batch.tenant_jobs.iter().map(|(_, n)| n).sum();
+            assert_eq!(composition, batch.job_ids.len(), "seed {seed}: batch self-consistent");
             for &job in &batch.job_ids {
                 assert!(seen.insert(job), "seed {seed}: job {job} dispatched twice");
             }
         }
         // The dispatched total never exceeds what was submitted, and every
         // completion corresponds to a dispatched job.
-        assert!(r.completed_slo <= r.arrived_slo, "seed {seed}: more completions than arrivals");
+        assert!(
+            r.completions(SLO_TENANT) as u64 <= r.tenant(SLO_TENANT).arrived,
+            "seed {seed}: more completions than arrivals"
+        );
     }
 }

@@ -1,8 +1,9 @@
 //! Leader election *inside* the replicated store: the leader lease is a plain
 //! key in the quorum KV, acquired with [`ReplicatedKvStore::compare_and_swap`].
 //!
-//! The PR 4 control plane paired a [`crate::Cluster`] (its own tick-simulated
-//! Raft-lite quorum) with a [`ReplicatedKvStore`] (the journal quorum). Two
+//! An earlier control plane paired a standalone message-passing election
+//! cluster (its own tick-simulated quorum) with a [`ReplicatedKvStore`] (the
+//! journal quorum). Two
 //! quorums are two fault domains: the election cluster can elect a leader
 //! while the data replicas have lost their majority (or vice versa), a
 //! split-brain window where "who leads" and "what is committed" disagree.

@@ -74,6 +74,48 @@ impl fmt::Display for ReleaseError {
 
 impl std::error::Error for ReleaseError {}
 
+/// Why a lease grant, or a rebuild from journaled lease sets, was refused —
+/// checked before anything is journaled, so a bad request leaves the journals
+/// (and every later failover) untouched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LeaseError {
+    /// The requesting shard does not exist.
+    UnknownShard {
+        /// The shard that asked.
+        shard: usize,
+        /// Shards in the plane.
+        num_shards: usize,
+    },
+    /// The QPU index lies outside the allocator's index space.
+    UnknownQpu {
+        /// The requested QPU.
+        qpu_index: usize,
+        /// QPUs under management.
+        num_qpus: usize,
+    },
+    /// Another shard holds the QPU: granting it would double-grant capacity.
+    Conflict(LeaseConflict),
+}
+
+impl fmt::Display for LeaseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LeaseError::UnknownShard { shard, num_shards } => {
+                write!(f, "shard {shard} does not exist (the plane has {num_shards})")
+            }
+            LeaseError::UnknownQpu { qpu_index, num_qpus } => {
+                write!(f, "QPU {qpu_index} is outside the fleet of {num_qpus}")
+            }
+            LeaseError::Conflict(LeaseConflict { qpu_index, held_by, claimed_by }) => write!(
+                f,
+                "QPU {qpu_index} is held by shard {held_by}; shard {claimed_by} cannot lease it"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for LeaseError {}
+
 /// A contiguous slice of the flat QPU index space owned by one named
 /// provider: QPUs `start..start + len`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,17 +180,38 @@ impl FleetAllocator {
         self.owner_of.len()
     }
 
-    /// Grant `qpu_index` to `shard` if it is free (or already held by the
-    /// same shard — grants are idempotent per owner). Returns whether the
-    /// shard holds the lease afterwards.
-    pub fn try_grant(&mut self, shard: usize, qpu_index: usize) -> bool {
-        match self.owner_of[qpu_index] {
-            None => {
-                self.owner_of[qpu_index] = Some(shard);
-                true
-            }
-            Some(owner) => owner == shard,
+    /// Grow the index space to `num_qpus` unleased QPUs (elastic capacity
+    /// appends at the tail; existing indices and leases are untouched).
+    pub fn grow_to(&mut self, num_qpus: usize) {
+        if num_qpus > self.owner_of.len() {
+            self.owner_of.resize(num_qpus, None);
         }
+    }
+
+    /// Whether `shard` may take `qpu_index`: the index is in range and the
+    /// QPU is free or already held by `shard`. Lets a write-ahead caller
+    /// validate before journaling the grant.
+    pub fn check_grant(&self, shard: usize, qpu_index: usize) -> Result<(), LeaseError> {
+        match self.owner_of.get(qpu_index) {
+            None => Err(LeaseError::UnknownQpu { qpu_index, num_qpus: self.num_qpus() }),
+            Some(Some(held_by)) if *held_by != shard => Err(LeaseError::Conflict(LeaseConflict {
+                qpu_index,
+                held_by: *held_by,
+                claimed_by: shard,
+            })),
+            Some(_) => Ok(()),
+        }
+    }
+
+    /// Grant `qpu_index` to `shard` if [`Self::check_grant`] allows it
+    /// (grants are idempotent per owner). Returns whether the shard holds the
+    /// lease afterwards.
+    pub fn try_grant(&mut self, shard: usize, qpu_index: usize) -> bool {
+        if self.check_grant(shard, qpu_index).is_err() {
+            return false;
+        }
+        self.owner_of[qpu_index] = Some(shard);
+        true
     }
 
     /// Whether [`FleetAllocator::release`] would succeed for this request —
@@ -220,20 +283,16 @@ impl FleetAllocator {
     /// Reconstruct the allocator from the per-shard journaled lease sets
     /// (`shard_leases[s]` = the QPU indices shard `s` holds after replay).
     /// Fails with the exact conflict if two shards claim one QPU — the
-    /// invariant a crash mid-lease must not break. Provider spans are static
-    /// configuration; re-attach them with
+    /// invariant a crash mid-lease must not break — and with
+    /// [`LeaseError::UnknownQpu`] if a journal names a QPU outside
+    /// `num_qpus`. Provider spans are static configuration; re-attach them with
     /// [`FleetAllocator::with_provider_spans`] (membership is index-derived,
     /// so the re-derived attribution is byte-identical).
-    pub fn rebuild(
-        shard_leases: &[BTreeSet<usize>],
-        num_qpus: usize,
-    ) -> Result<Self, LeaseConflict> {
+    pub fn rebuild(shard_leases: &[BTreeSet<usize>], num_qpus: usize) -> Result<Self, LeaseError> {
         let mut allocator = FleetAllocator::new(num_qpus);
         for (shard, held) in shard_leases.iter().enumerate() {
             for &qpu_index in held {
-                if let Some(held_by) = allocator.owner(qpu_index) {
-                    return Err(LeaseConflict { qpu_index, held_by, claimed_by: shard });
-                }
+                allocator.check_grant(shard, qpu_index)?;
                 allocator.owner_of[qpu_index] = Some(shard);
             }
         }
@@ -334,8 +393,26 @@ mod tests {
         let overlapping: BTreeSet<usize> = [2, 3].into_iter().collect();
         assert_eq!(
             FleetAllocator::rebuild(&[shard0, overlapping], 4),
-            Err(LeaseConflict { qpu_index: 2, held_by: 0, claimed_by: 1 })
+            Err(LeaseError::Conflict(LeaseConflict { qpu_index: 2, held_by: 0, claimed_by: 1 }))
         );
+    }
+
+    #[test]
+    fn out_of_range_indices_are_refused_not_panicked_on() {
+        let mut alloc = FleetAllocator::new(4);
+        assert_eq!(
+            alloc.check_grant(0, 9),
+            Err(LeaseError::UnknownQpu { qpu_index: 9, num_qpus: 4 })
+        );
+        assert!(!alloc.try_grant(0, 9));
+        let journaled: BTreeSet<usize> = [1, 9].into_iter().collect();
+        assert_eq!(
+            FleetAllocator::rebuild(&[journaled], 4),
+            Err(LeaseError::UnknownQpu { qpu_index: 9, num_qpus: 4 })
+        );
+        alloc.grow_to(10);
+        assert!(alloc.try_grant(0, 9), "a grown index space admits the new tail");
+        assert_eq!(alloc.owner(8), None);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub use federation::{
     CostOptimized, FederatedFleet, LeastLoaded, PlacementStrategy, Provider, ProviderCapacity,
     QuantumAware,
 };
-pub use fleetlease::{FleetAllocator, LeaseConflict, ProviderSpan, ReleaseError};
+pub use fleetlease::{FleetAllocator, LeaseConflict, LeaseError, ProviderSpan, ReleaseError};
 pub use jobmanager::{
     BatchRecord, CalibrationPolicy, CompletedExecution, JobId, JobManager, JobSpec, PendingJob,
     TenantId, DEFAULT_TENANT,

@@ -27,13 +27,13 @@
 //!   shards, so drained completions are attributed to the shard leasing the
 //!   QPU they ran on — which is exactly the shard that dispatched them.
 
-use crate::fleetlease::{FleetAllocator, LeaseConflict, ReleaseError};
+use crate::fleetlease::{FleetAllocator, LeaseError, ReleaseError};
 use crate::jobmanager::{CalibrationPolicy, CompletedExecution, JobId, JobSpec, TenantId};
 use crate::replication::{
     DispatchOutcome, FailoverError, ReplicatedControlPlane, ReplicationError,
 };
 use crate::submission::{JobTicket, TenantConfig, TenantStats, TicketStatus};
-use qonductor_backend::Fleet;
+use qonductor_backend::{Fleet, ResourceClass};
 use qonductor_scheduler::{HybridScheduler, ScheduleTrigger};
 use std::collections::HashMap;
 
@@ -128,7 +128,10 @@ impl ShardedControlPlane {
         };
         for qpu_index in 0..num_qpus {
             let shard = qpu_index % num_shards;
-            plane.lease_qpu(shard, qpu_index).expect("fresh stores have quorums");
+            plane
+                .lease_qpu(shard, qpu_index)
+                .expect("fresh stores have quorums")
+                .expect("a fresh allocator has every QPU free");
         }
         plane
     }
@@ -422,18 +425,84 @@ impl ShardedControlPlane {
             .collect()
     }
 
-    /// Grant `qpu_index` to `shard`: the allocator checks exclusivity, then
-    /// the shard journals the grant (write-ahead) before any use.
-    pub fn lease_qpu(&mut self, shard: usize, qpu_index: usize) -> Result<bool, ReplicationError> {
-        if self.allocator.owner(qpu_index).is_some_and(|owner| owner != shard) {
-            return Ok(false);
+    /// Grant `qpu_index` to `shard`. The outer `Result` is journal plumbing;
+    /// the inner one is the domain answer, checked against the allocator
+    /// *before* anything is journaled: `Ok(())` once the shard holds the
+    /// lease (re-granting to the holder journals nothing), or the typed
+    /// refusal for an unknown shard, an index outside the fleet, or a QPU
+    /// another shard holds. The grant is journaled on the shard (write-ahead)
+    /// before any use.
+    pub fn lease_qpu(
+        &mut self,
+        shard: usize,
+        qpu_index: usize,
+    ) -> Result<Result<(), LeaseError>, ReplicationError> {
+        if let Err(refusal) = self.check_shard(shard) {
+            return Ok(Err(refusal));
         }
-        if !self.shards[shard].lease_qpu(qpu_index)? {
-            return Ok(false);
+        if let Err(refusal) = self.allocator.check_grant(shard, qpu_index) {
+            return Ok(Err(refusal));
         }
+        self.shards[shard].lease_qpu(qpu_index)?;
         let granted = self.allocator.try_grant(shard, qpu_index);
         debug_assert!(granted, "allocator agreed above");
-        Ok(true)
+        Ok(Ok(()))
+    }
+
+    /// Record an autoscaler grow decision: the allocator's index space grows
+    /// to cover `qpu_index` (elastic capacity appends at the tail, so it may
+    /// exceed the index space by at most one), `shard` leases it write-ahead,
+    /// and the shard journals the provisioning — all before the caller
+    /// appends the QPU to the fleet. Leasing the new tail keeps a
+    /// single-shard plane's lease covering the whole fleet, so its specs
+    /// still pass through unmasked.
+    pub fn provision_qpu(
+        &mut self,
+        shard: usize,
+        now_s: f64,
+        qpu_index: usize,
+        class: ResourceClass,
+    ) -> Result<Result<(), LeaseError>, ReplicationError> {
+        if let Err(refusal) = self.check_shard(shard) {
+            return Ok(Err(refusal));
+        }
+        let num_qpus = self.allocator.num_qpus();
+        if qpu_index > num_qpus {
+            return Ok(Err(LeaseError::UnknownQpu { qpu_index, num_qpus }));
+        }
+        self.allocator.grow_to(qpu_index + 1);
+        if let Err(refusal) = self.lease_qpu(shard, qpu_index)? {
+            return Ok(Err(refusal));
+        }
+        self.shards[shard].provision_qpu(now_s, qpu_index, class)?;
+        Ok(Ok(()))
+    }
+
+    /// Record an autoscaler shrink decision for an elastic QPU the caller has
+    /// already drained out of the fleet (`Fleet::pop_member` refuses a tail
+    /// with work): `shard` journals the retirement and releases the lease.
+    pub fn retire_qpu(
+        &mut self,
+        shard: usize,
+        now_s: f64,
+        qpu_index: usize,
+    ) -> Result<Result<(), ReleaseError>, ReplicationError> {
+        if let Err(refusal) = self.allocator.check_release(shard, qpu_index, 0) {
+            return Ok(Err(refusal));
+        }
+        self.shards[shard].retire_qpu(now_s, qpu_index)?;
+        self.shards[shard].release_qpu(qpu_index)?;
+        let released = self.allocator.release(shard, qpu_index, 0);
+        debug_assert!(released.is_ok(), "allocator ownership checked above");
+        Ok(Ok(()))
+    }
+
+    fn check_shard(&self, shard: usize) -> Result<(), LeaseError> {
+        if shard < self.shards.len() {
+            Ok(())
+        } else {
+            Err(LeaseError::UnknownShard { shard, num_shards: self.shards.len() })
+        }
     }
 
     /// Release `shard`'s lease on `qpu_index`. The outer `Result` is journal
@@ -524,11 +593,12 @@ impl ShardedControlPlane {
     }
 
     /// Reconstruct the allocator from the shards' journaled lease sets,
-    /// failing on any double grant. Provider spans are static configuration
-    /// (membership is index-derived, never journaled), so they are carried
+    /// failing on any double grant or out-of-range index. Provider spans are
+    /// static configuration (membership is index-derived, never journaled),
+    /// so they are carried
     /// over from the live allocator — the rebuilt provider attribution is
     /// byte-identical to the pre-crash one.
-    pub fn rebuild_allocator(&self) -> Result<FleetAllocator, LeaseConflict> {
+    pub fn rebuild_allocator(&self) -> Result<FleetAllocator, LeaseError> {
         let sets: Vec<_> = self.shards.iter().map(|s| s.leases().clone()).collect();
         let spans: Vec<(String, usize)> =
             self.allocator.provider_spans().iter().map(|s| (s.name.clone(), s.len)).collect();
@@ -851,9 +921,56 @@ mod tests {
         plane.drain_and_note(&mut fleet).unwrap();
         assert_eq!(plane.release_qpu(shard, busy_qpu, &fleet).unwrap(), Ok(()));
         assert_eq!(plane.allocator().owner(busy_qpu), None);
-        assert!(plane.lease_qpu(other, busy_qpu).unwrap());
+        assert_eq!(plane.lease_qpu(other, busy_qpu).unwrap(), Ok(()));
         assert_eq!(plane.allocator().owner(busy_qpu), Some(other));
         assert!(plane.rebuild_allocator().is_ok(), "journals stay conflict-free after a move");
+    }
+
+    /// A lease request naming a QPU outside the fleet (or a shard outside
+    /// the plane) is refused before anything is journaled, so it cannot
+    /// poison the journaled lease sets that every later failover rebuilds
+    /// the allocator from.
+    #[test]
+    fn an_out_of_range_lease_is_refused_and_later_failovers_still_work() {
+        let mut plane = plane(2, 8);
+        let journal_len = plane.shard(0).log().len();
+        assert_eq!(
+            plane.lease_qpu(0, 99).unwrap(),
+            Err(LeaseError::UnknownQpu { qpu_index: 99, num_qpus: 8 })
+        );
+        assert_eq!(
+            plane.lease_qpu(2, 0).unwrap(),
+            Err(LeaseError::UnknownShard { shard: 2, num_shards: 2 })
+        );
+        assert_eq!(plane.shard(0).log().len(), journal_len, "a refusal journals nothing");
+        assert!(plane.rebuild_allocator().is_ok());
+        plane.crash_leader(0);
+        plane.failover(0).expect("the journals hold no out-of-range grant");
+        assert_eq!(plane.allocator().leased_by(0), vec![0, 2, 4, 6]);
+    }
+
+    /// Elastic capacity grows the index space, leases the new tail to the
+    /// provisioning shard, and hands it back on retirement; both survive a
+    /// failover.
+    #[test]
+    fn provisioned_qpus_are_leased_and_released_through_the_journal() {
+        let mut plane = plane(1, 4);
+        assert_eq!(
+            plane.provision_qpu(0, 5.0, 6, ResourceClass::Simulator).unwrap(),
+            Err(LeaseError::UnknownQpu { qpu_index: 6, num_qpus: 4 }),
+            "elastic capacity appends at the tail"
+        );
+        assert_eq!(plane.provision_qpu(0, 5.0, 4, ResourceClass::Simulator).unwrap(), Ok(()));
+        assert_eq!(plane.num_qpus(), 5);
+        assert_eq!(plane.allocator().owner(4), Some(0));
+        assert!(plane.shard(0).elastic().contains(&4));
+        plane.crash_all_leaders();
+        plane.failover_all().unwrap();
+        assert_eq!(plane.allocator().owner(4), Some(0), "the elastic lease replays");
+        assert_eq!(plane.retire_qpu(0, 9.0, 4).unwrap(), Ok(()));
+        assert_eq!(plane.allocator().owner(4), None);
+        assert!(plane.shard(0).elastic().is_empty());
+        assert!(matches!(plane.retire_qpu(0, 9.0, 4).unwrap(), Err(ReleaseError::NotOwner { .. })));
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl Default for DatasetConfig {
 /// Generate a dataset of execution records against the given fleet.
 ///
 /// Generation is embarrassingly parallel and fans out over
-/// `config.num_threads` crossbeam-scoped workers, each with an independent
+/// `config.num_threads` scoped worker threads, each with an independent
 /// deterministic RNG stream derived from `seed`.
 pub fn generate_dataset(fleet: &Fleet, config: &DatasetConfig, seed: u64) -> Vec<ExecutionRecord> {
     assert!(!fleet.is_empty(), "dataset generation needs at least one QPU");
@@ -58,25 +58,20 @@ pub fn generate_dataset(fleet: &Fleet, config: &DatasetConfig, seed: u64) -> Vec
     let per_thread = config.num_records / threads;
     let remainder = config.num_records % threads;
 
-    let mut results: Vec<Vec<ExecutionRecord>> = Vec::with_capacity(threads);
-    crossbeam::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let count = per_thread + usize::from(t < remainder);
-            let fleet_ref = &*fleet;
-            let cfg = *config;
-            handles.push(scope.spawn(move |_| {
-                let mut rng = StdRng::seed_from_u64(
-                    seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1)),
-                );
-                generate_records(fleet_ref, &cfg, count, &mut rng)
-            }));
-        }
-        for h in handles {
-            results.push(h.join().expect("dataset worker panicked"));
-        }
-    })
-    .expect("crossbeam scope failed");
+    let results: Vec<Vec<ExecutionRecord>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let count = per_thread + usize::from(t < remainder);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(
+                        seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1)),
+                    );
+                    generate_records(fleet, config, count, &mut rng)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("dataset worker panicked")).collect()
+    });
     results.into_iter().flatten().collect()
 }
 

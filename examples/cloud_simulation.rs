@@ -5,28 +5,31 @@
 //!
 //! Run with: `cargo run --release --example cloud_simulation`
 
-use qonductor::cloudsim::{ArrivalConfig, CloudSimulation, Policy, SimulationConfig};
-use qonductor::scheduler::{Nsga2Config, Preference};
+use qonductor::cloudsim::{default_fleet, run, ArrivalConfig, Placement, Report, Scenario};
+use qonductor::scheduler::Nsga2Config;
 
-fn run(policy: Policy) -> qonductor::cloudsim::SimulationReport {
-    let config = SimulationConfig {
-        duration_s: 900.0, // one quarter of a simulated hour keeps the example snappy
-        arrival: ArrivalConfig { mean_rate_per_hour: 1500.0, ..Default::default() },
-        policy,
-        nsga2: Nsga2Config { population_size: 40, max_generations: 30, ..Default::default() },
-        seed: 11,
-        ..Default::default()
-    };
-    CloudSimulation::with_default_fleet(config).run()
+fn simulate(placement: Placement) -> Report {
+    // One quarter of a simulated hour keeps the example snappy.
+    let mut scenario = Scenario::paper(
+        default_fleet(11),
+        ArrivalConfig { mean_rate_per_hour: 1500.0, ..Default::default() },
+        0.5,
+        900.0,
+        11,
+    );
+    scenario.placement = placement;
+    scenario.scheduler.nsga2 =
+        Nsga2Config { population_size: 40, max_generations: 30, ..Default::default() };
+    run(&scenario, None)
 }
 
 fn main() {
     println!("simulating 15 minutes of cloud load (1500 applications/hour)...\n");
-    let qonductor = run(Policy::Qonductor { preference: Preference::balanced() });
-    let fcfs = run(Policy::Fcfs);
+    let qonductor = simulate(Placement::Qonductor);
+    let fcfs = simulate(Placement::Fcfs);
 
     println!("{:<26} {:>12} {:>12}", "metric", "Qonductor", "FCFS");
-    println!("{:<26} {:>12} {:>12}", "applications arrived", qonductor.arrived, fcfs.arrived);
+    println!("{:<26} {:>12} {:>12}", "applications arrived", qonductor.arrived(), fcfs.arrived());
     println!(
         "{:<26} {:>12} {:>12}",
         "applications completed",

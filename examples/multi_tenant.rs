@@ -6,45 +6,28 @@
 //!
 //! Run with: `cargo run --release --example multi_tenant`
 
-use qonductor::cloudsim::{
-    ArrivalConfig, MultiTenantConfig, MultiTenantSimulation, TenantArrivalConfig, TenantLoad,
-};
-use qonductor::scheduler::{Nsga2Config, Preference};
+use qonductor::cloudsim::multitenant::saturating;
+use qonductor::cloudsim::{run, Scenario};
+use qonductor::scheduler::{Nsga2Config, ScheduleTrigger, SchedulerConfig};
 
 fn main() {
-    let stream = |rate: f64| TenantArrivalConfig {
-        arrival: ArrivalConfig {
-            mean_rate_per_hour: rate,
-            diurnal_amplitude: 0.0,
-            ..Default::default()
+    let scenario = Scenario {
+        trigger: ScheduleTrigger::new(24, 60.0),
+        scheduler: SchedulerConfig {
+            nsga2: Nsga2Config {
+                population_size: 24,
+                max_generations: 15,
+                max_evaluations: 2000,
+                num_threads: 2,
+                ..Nsga2Config::default()
+            },
+            ..SchedulerConfig::default()
         },
-        mitigation_fraction: 0.4,
-    };
-    let tenant = |weight: u32| TenantLoad {
-        weight,
-        max_in_flight: 1_000_000,
-        max_retries: 1,
-        arrivals: stream(9000.0),
-    };
-    let config = MultiTenantConfig {
-        duration_s: 600.0,
-        step_s: 10.0,
-        tenants: vec![tenant(3), tenant(2), tenant(1)],
-        trigger_queue_limit: 24,
-        trigger_interval_s: 60.0,
-        nsga2: Nsga2Config {
-            population_size: 24,
-            max_generations: 15,
-            max_evaluations: 2000,
-            num_threads: 2,
-            ..Nsga2Config::default()
-        },
-        preference: Preference::balanced(),
-        seed: 7,
+        ..saturating(&[3, 2, 1], 9000.0, 600.0, 7)
     };
 
     println!("three tenants, weights 3:2:1, equal saturating arrival streams\n");
-    let report = MultiTenantSimulation::with_default_fleet(config).run();
+    let report = run(&scenario, None);
 
     println!("first batches (tenant:jobs):");
     for batch in report.batches.iter().take(6) {
@@ -54,7 +37,7 @@ fn main() {
             "  t={:6.1}s  {:?}  {} jobs  [{}]",
             batch.t_s,
             batch.reason,
-            batch.num_jobs,
+            batch.job_ids.len(),
             composition.join(" ")
         );
     }
@@ -75,11 +58,10 @@ fn main() {
             s.mean_turnaround_s,
         );
     }
-    let total: usize = report.batches.iter().map(|b| b.num_jobs).sum();
     println!(
         "\n{} batches dispatched, {} jobs admitted, {} completed",
         report.batches.len(),
-        total,
+        report.dispatched_jobs(),
         report.completed.len()
     );
 }

@@ -11,7 +11,7 @@
 //! * [`mitigation`] — ZNE, REM, DD, Pauli twirling, PEC, circuit knitting.
 //! * [`estimator`] — regression + numerical fidelity/runtime estimation, resource plans.
 //! * [`scheduler`] — NSGA-II multi-objective scheduler, MCDM selection, baselines.
-//! * [`consensus`] — heartbeat failure detection, Raft-lite election, replicated KV store.
+//! * [`consensus`] — replicated KV store and log, in-store leader election.
 //! * [`cloudsim`] — discrete-event cloud simulation, load generator, metrics.
 //! * [`core`] — the Qonductor API, workflow manager/registry, job manager, control plane.
 

@@ -3,13 +3,13 @@
 
 use qonductor::backend::{Fleet, Simulator};
 use qonductor::circuit::generators::{ghz, qaoa_maxcut, MaxCutGraph};
-use qonductor::cloudsim::{ArrivalConfig, CloudSimulation, Policy, SimulationConfig};
+use qonductor::cloudsim::{default_fleet, run, ArrivalConfig, Placement, Report, Scenario};
 use qonductor::core::{
     mitigated_execution_workflow, DeploymentConfig, Orchestrator, Priority, WorkflowStatus,
 };
 use qonductor::estimator::{generate_plans, EstimationBackend, PlanGeneratorConfig};
 use qonductor::mitigation::MitigationStack;
-use qonductor::scheduler::{ClassicalRequest, Nsga2Config, Preference};
+use qonductor::scheduler::{ClassicalRequest, Nsga2Config, Preference, SchedulerConfig};
 use qonductor::transpiler::Transpiler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -100,27 +100,29 @@ fn qonductor_policy_beats_fcfs_on_completion_time_in_a_short_simulation() {
     // jobs/hour the fidelity-greedy FCFS baseline funnels everything onto
     // one or two favourite devices while Qonductor load-balances the fleet
     // — the paper's RQ1 shape, stable across seeds.
-    let config = |policy| SimulationConfig {
-        duration_s: 600.0,
-        mitigation_fraction: 0.0,
-        arrival: ArrivalConfig { mean_rate_per_hour: 3000.0, ..Default::default() },
-        policy,
-        nsga2: Nsga2Config {
-            population_size: 24,
-            max_generations: 20,
-            max_evaluations: 2500,
-            num_threads: 2,
-            ..Nsga2Config::default()
+    let scenario = |placement| Scenario {
+        placement,
+        scheduler: SchedulerConfig {
+            nsga2: Nsga2Config {
+                population_size: 24,
+                max_generations: 20,
+                max_evaluations: 2500,
+                num_threads: 2,
+                ..Nsga2Config::default()
+            },
+            ..SchedulerConfig::default()
         },
-        seed: 99,
-        ..Default::default()
+        ..Scenario::paper(
+            default_fleet(99),
+            ArrivalConfig { mean_rate_per_hour: 3000.0, ..Default::default() },
+            0.0,
+            600.0,
+            99,
+        )
     };
-    let qonductor = CloudSimulation::with_default_fleet(config(Policy::Qonductor {
-        preference: Preference::balanced(),
-    }))
-    .run();
-    let fcfs = CloudSimulation::with_default_fleet(config(Policy::Fcfs)).run();
-    assert_eq!(qonductor.arrived, fcfs.arrived, "identical workload in both arms");
+    let qonductor = run(&scenario(Placement::Qonductor), None);
+    let fcfs = run(&scenario(Placement::Fcfs), None);
+    assert_eq!(qonductor.arrived(), fcfs.arrived(), "identical workload in both arms");
     assert!(!qonductor.completed.is_empty() && !fcfs.completed.is_empty());
     // The headline RQ1 shape: Qonductor completes jobs faster, pushes far
     // more of them through, and uses the fleet more evenly, at a small (or
@@ -145,26 +147,32 @@ fn qonductor_policy_beats_fcfs_on_completion_time_in_a_short_simulation() {
 
 #[test]
 fn scheduling_priorities_shape_end_to_end_outcomes() {
-    let config = |preference| SimulationConfig {
-        duration_s: 500.0,
-        arrival: ArrivalConfig { mean_rate_per_hour: 1000.0, ..Default::default() },
-        policy: Policy::Qonductor { preference },
-        nsga2: Nsga2Config {
-            population_size: 24,
-            max_generations: 20,
-            max_evaluations: 2500,
-            num_threads: 2,
-            ..Nsga2Config::default()
+    let scenario = |preference| Scenario {
+        scheduler: SchedulerConfig {
+            nsga2: Nsga2Config {
+                population_size: 24,
+                max_generations: 20,
+                max_evaluations: 2500,
+                num_threads: 2,
+                ..Nsga2Config::default()
+            },
+            preference,
+            ..SchedulerConfig::default()
         },
-        seed: 123,
-        ..Default::default()
+        ..Scenario::paper(
+            default_fleet(123),
+            ArrivalConfig { mean_rate_per_hour: 1000.0, ..Default::default() },
+            0.5,
+            500.0,
+            123,
+        )
     };
-    let jct_first = CloudSimulation::with_default_fleet(config(Preference::jct_first())).run();
-    let fid_first = CloudSimulation::with_default_fleet(config(Preference::fidelity_first())).run();
+    let jct_first = run(&scenario(Preference::jct_first()), None);
+    let fid_first = run(&scenario(Preference::fidelity_first()), None);
     assert!(!jct_first.cycles.is_empty() && !fid_first.cycles.is_empty());
     // The cross-run JCT ordering is robust: a jct-first scheduler produces
     // faster chosen solutions than a fidelity-first one.
-    let mean_chosen_jct = |r: &qonductor::cloudsim::SimulationReport| {
+    let mean_chosen_jct = |r: &Report| {
         r.cycles.iter().map(|c| c.chosen.mean_jct_s).sum::<f64>() / r.cycles.len().max(1) as f64
     };
     assert!(mean_chosen_jct(&jct_first) <= mean_chosen_jct(&fid_first) + 1e-6);
@@ -173,11 +181,11 @@ fn scheduling_priorities_shape_end_to_end_outcomes() {
     // solutions against its own Pareto fronts: the preferred objective must
     // sit near the front's best value, and closer than under the opposite
     // preference.
-    let fid_gap = |r: &qonductor::cloudsim::SimulationReport| {
+    let fid_gap = |r: &Report| {
         r.cycles.iter().map(|c| c.front_max_fidelity - c.chosen.mean_fidelity()).sum::<f64>()
             / r.cycles.len().max(1) as f64
     };
-    let jct_gap = |r: &qonductor::cloudsim::SimulationReport| {
+    let jct_gap = |r: &Report| {
         r.cycles
             .iter()
             .map(|c| (c.chosen.mean_jct_s - c.front_min_jct_s) / c.front_max_jct_s.max(1e-9))

@@ -9,16 +9,15 @@
 mod common;
 
 use common::{feasible_spec, small_fleet, small_scheduler};
-use qonductor::cloudsim::{
-    ArrivalConfig, MultiTenantConfig, MultiTenantSimulation, TenantArrivalConfig, TenantLoad,
-};
+use qonductor::cloudsim::multitenant::saturating;
+use qonductor::cloudsim::{run, Scenario};
 use qonductor::core::{
     DeploymentConfig, JobManager, Orchestrator, OrchestratorError, SubmissionService, TenantConfig,
     TicketStatus, WorkflowStatus,
 };
 use qonductor::mitigation::MitigationStack;
 use qonductor::scheduler::{
-    ClassicalRequest, HybridScheduler, Nsga2Config, Preference, ScheduleTrigger,
+    ClassicalRequest, HybridScheduler, Nsga2Config, ScheduleTrigger, SchedulerConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -226,44 +225,21 @@ fn orchestrator_routes_tenant_waves_through_the_service() {
 /// (±10%) and conserves every ticket.
 #[test]
 fn multi_tenant_simulation_converges_to_weighted_shares() {
-    let stream = TenantArrivalConfig {
-        arrival: ArrivalConfig {
-            mean_rate_per_hour: 9000.0,
-            diurnal_amplitude: 0.0,
-            ..Default::default()
-        },
-        mitigation_fraction: 0.3,
-    };
-    let config = MultiTenantConfig {
-        duration_s: 400.0,
-        step_s: 10.0,
-        tenants: vec![
-            TenantLoad {
-                weight: 2,
-                arrivals: stream,
-                max_in_flight: 1_000_000,
-                ..TenantLoad::default()
+    let scenario = Scenario {
+        trigger: ScheduleTrigger::new(18, 45.0),
+        scheduler: SchedulerConfig {
+            nsga2: Nsga2Config {
+                population_size: 16,
+                max_generations: 10,
+                max_evaluations: 1000,
+                num_threads: 2,
+                ..Nsga2Config::default()
             },
-            TenantLoad {
-                weight: 1,
-                arrivals: stream,
-                max_in_flight: 1_000_000,
-                ..TenantLoad::default()
-            },
-        ],
-        trigger_queue_limit: 18,
-        trigger_interval_s: 45.0,
-        nsga2: Nsga2Config {
-            population_size: 16,
-            max_generations: 10,
-            max_evaluations: 1000,
-            num_threads: 2,
-            ..Nsga2Config::default()
+            ..SchedulerConfig::default()
         },
-        preference: Preference::balanced(),
-        seed: 77,
+        ..saturating(&[2, 1], 9000.0, 400.0, 77)
     };
-    let report = MultiTenantSimulation::with_default_fleet(config).run();
+    let report = run(&scenario, None);
     assert!(!report.batches.is_empty());
     let heavy = report.tenants[0].tenant;
     let share = report.admitted_share(heavy);
