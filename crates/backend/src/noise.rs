@@ -6,20 +6,77 @@
 //! estimated-success-probability (ESP) fidelity model used for wide circuits
 //! and by the numerical baseline estimator.
 
-use crate::calibration::CalibrationData;
-use qonductor_circuit::{Circuit, Gate};
+use crate::calibration::{CalibrationData, EdgeCalibration};
+use qonductor_circuit::{Circuit, Gate, NO_OPERAND};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// A calibration-derived noise model for one QPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Two-qubit lookups go through an index of the calibrated edges, built on
+/// first use; equality and `Debug` see only the calibration.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct NoiseModel {
     calibration: CalibrationData,
+    #[serde(skip)]
+    edges: OnceLock<EdgeIndex>,
+}
+
+impl PartialEq for NoiseModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.calibration == other.calibration
+    }
+}
+
+impl fmt::Debug for NoiseModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NoiseModel").field("calibration", &self.calibration).finish()
+    }
+}
+
+/// The calibrated edges grouped by their lower qubit: `(a, b)` is stored as
+/// `(b, calibration)` in row `a`, rows ascending by `b`. Only canonical keys
+/// (`a <= b`) are indexed, since [`CalibrationData::edge`] looks up no other.
+#[derive(Debug, Clone)]
+struct EdgeIndex {
+    offsets: Vec<usize>,
+    entries: Vec<(u32, EdgeCalibration)>,
+}
+
+impl EdgeIndex {
+    fn build(edges: &BTreeMap<(u32, u32), EdgeCalibration>) -> Self {
+        let canonical = || edges.iter().filter(|((a, b), _)| a <= b);
+        let rows = canonical().map(|(&(a, _), _)| a as usize + 1).max().unwrap_or(0);
+        let mut offsets = vec![0usize; rows + 1];
+        let mut entries = Vec::with_capacity(edges.len());
+        // Keys iterate in order, so each row fills contiguously and sorted.
+        for (&(a, b), &e) in canonical() {
+            offsets[a as usize + 1] += 1;
+            entries.push((b, e));
+        }
+        for r in 0..rows {
+            offsets[r + 1] += offsets[r];
+        }
+        EdgeIndex { offsets, entries }
+    }
+
+    fn get(&self, a: u32, b: u32) -> Option<&EdgeCalibration> {
+        let (lo, hi) = (a.min(b) as usize, a.max(b));
+        let row = &self.entries[*self.offsets.get(lo)?..*self.offsets.get(lo + 1)?];
+        row.binary_search_by_key(&hi, |&(b, _)| b).ok().map(|i| &row[i].1)
+    }
 }
 
 impl NoiseModel {
     /// Build a noise model from a calibration snapshot.
     pub fn new(calibration: CalibrationData) -> Self {
-        NoiseModel { calibration }
+        NoiseModel { calibration, edges: OnceLock::new() }
+    }
+
+    fn edge_index(&self) -> &EdgeIndex {
+        self.edges.get_or_init(|| EdgeIndex::build(&self.calibration.edges))
     }
 
     /// The underlying calibration snapshot.
@@ -39,11 +96,26 @@ impl NoiseModel {
 
     /// Error probability of a two-qubit gate on the edge `(a, b)`. If the edge
     /// is not calibrated (e.g. the circuit was not routed to this device), the
-    /// device-mean two-qubit error inflated by the coupling distance is used.
+    /// device-mean two-qubit error times a flat 1.5 (capped at 0.9) is used.
     pub fn two_qubit_error(&self, a: u32, b: u32) -> f64 {
-        match self.calibration.edge(a, b) {
+        self.edge_error(self.edge_index().get(a, b))
+    }
+
+    fn edge_error(&self, edge: Option<&EdgeCalibration>) -> f64 {
+        match edge {
             Some(e) => e.gate_error,
             None => (self.calibration.mean_two_qubit_error() * 1.5).min(0.9),
+        }
+    }
+
+    fn edge_duration_ns(gate: Gate, edge: Option<&EdgeCalibration>) -> f64 {
+        let d = edge
+            .map(|e| e.gate_duration_ns)
+            .unwrap_or_else(|| EdgeCalibration::typical().gate_duration_ns);
+        if matches!(gate, Gate::Swap) {
+            3.0 * d
+        } else {
+            d
         }
     }
 
@@ -83,16 +155,7 @@ impl NoiseModel {
             Gate::Barrier | Gate::RZ(_) | Gate::Id => 0.0,
             Gate::Delay(ns) => ns,
             Gate::Measure => qubit(q0).readout_duration_ns,
-            g if g.is_two_qubit() => {
-                let d = self.calibration.edge(q0, q1).map(|e| e.gate_duration_ns).unwrap_or_else(
-                    || crate::calibration::EdgeCalibration::typical().gate_duration_ns,
-                );
-                if matches!(g, Gate::Swap) {
-                    3.0 * d
-                } else {
-                    d
-                }
-            }
+            g if g.is_two_qubit() => Self::edge_duration_ns(g, self.edge_index().get(q0, q1)),
             _ => qubit(q0).gate_duration_ns,
         }
     }
@@ -146,14 +209,41 @@ impl NoiseModel {
     /// This is the scalable fidelity proxy used for circuits too wide for the
     /// statevector simulator and by the numerical baseline of Figure 7(b).
     pub fn estimated_success_probability(&self, circuit: &Circuit) -> f64 {
+        // One pass folds the error product, the critical-path finish times of
+        // `circuit_duration_ns` and the active-qubit set.
+        let n = circuit.num_qubits() as usize;
+        let mut finish = vec![0.0f64; n];
+        let mut active = vec![false; n];
         let mut esp = 1.0f64;
+        let edges = self.edge_index();
         for instr in circuit.instructions() {
-            let p_err = self.instruction_error(instr.gate, instr.q0, instr.q1);
-            esp *= 1.0 - p_err;
+            let gate = instr.gate;
+            if gate == Gate::Barrier {
+                let m = finish.iter().cloned().fold(0.0, f64::max);
+                finish.fill(m);
+                continue;
+            }
+            let q0 = instr.q0 as usize;
+            active[q0] = true;
+            if instr.q1 != NO_OPERAND {
+                active[instr.q1 as usize] = true;
+            }
+            if gate.is_two_qubit() {
+                let q1 = instr.q1 as usize;
+                let edge = edges.get(instr.q0, instr.q1);
+                esp *= 1.0 - self.edge_error(edge);
+                let start = finish[q0].max(finish[q1]);
+                let d = Self::edge_duration_ns(gate, edge);
+                finish[q0] = start + d;
+                finish[q1] = start + d;
+            } else {
+                esp *= 1.0 - self.instruction_error(gate, instr.q0, NO_OPERAND);
+                finish[q0] += self.instruction_duration_ns(gate, instr.q0, NO_OPERAND);
+            }
         }
-        let duration = self.circuit_duration_ns(circuit);
-        for &q in circuit.active_qubits().iter() {
-            esp *= self.decoherence_factor(q, duration * 0.5);
+        let duration = finish.iter().cloned().fold(0.0, f64::max);
+        for q in (0..n).filter(|&q| active[q]) {
+            esp *= self.decoherence_factor(q as u32, duration * 0.5);
         }
         esp.clamp(0.0, 1.0)
     }
@@ -227,5 +317,44 @@ mod tests {
         assert!((m.decoherence_factor(0, 0.0) - 1.0).abs() < 1e-12);
         let f = m.decoherence_factor(0, 1_000_000.0); // 1 ms ≫ T1
         assert!(f < 0.01);
+    }
+
+    /// The ESP as a product of per-instruction successes, then decoherence
+    /// over the critical-path duration on every active qubit.
+    fn esp_reference(m: &NoiseModel, c: &Circuit) -> f64 {
+        let mut esp = 1.0f64;
+        for i in c.instructions() {
+            esp *= 1.0 - m.instruction_error(i.gate, i.q0, i.q1);
+        }
+        let duration = m.circuit_duration_ns(c);
+        for q in c.active_qubits() {
+            esp *= m.decoherence_factor(q, duration * 0.5);
+        }
+        esp.clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn one_pass_esp_matches_the_reference_bit_for_bit() {
+        let m = model(6, 1.3, 7);
+        let mut c = Circuit::new(6);
+        c.h(0).cx(0, 1).rz(0.4, 2).barrier().swap(1, 2).cx(4, 5);
+        // (0, 5) is not a calibrated edge: the fallback error applies.
+        c.cx(0, 5).sx(3).measure_all();
+        for circuit in [c, ghz(6)] {
+            let got = m.estimated_success_probability(&circuit);
+            assert_eq!(got.to_bits(), esp_reference(&m, &circuit).to_bits());
+        }
+    }
+
+    #[test]
+    fn edge_lookups_agree_with_the_calibration() {
+        let m = model(8, 1.0, 8);
+        let fallback = (m.calibration().mean_two_qubit_error() * 1.5).min(0.9);
+        for a in 0..9 {
+            for b in 0..9 {
+                let want = m.calibration().edge(a, b).map_or(fallback, |e| e.gate_error);
+                assert_eq!(m.two_qubit_error(a, b), want, "edge ({a}, {b})");
+            }
+        }
     }
 }

@@ -6,13 +6,89 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// An undirected qubit coupling map.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Adjacency and all-pairs hop distances are derived from the edge list on
+/// first use and cached; equality and `Debug` see only the qubit count and
+/// the edges.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct CouplingMap {
     num_qubits: u32,
     /// Canonical (min, max) edge list, sorted and deduplicated.
     edges: Vec<(u32, u32)>,
+    /// Boxed so a device carries one pointer until routing needs the tables.
+    #[serde(skip)]
+    tables: OnceLock<Box<Tables>>,
+}
+
+/// Derived lookup tables of a coupling map.
+#[derive(Debug, Clone)]
+struct Tables {
+    /// CSR adjacency: the neighbours of `q` are
+    /// `neighbors[offsets[q]..offsets[q + 1]]`, in edge-list order.
+    offsets: Vec<usize>,
+    neighbors: Vec<u32>,
+    /// Row-major `n × n` hop distances; `u32::MAX` marks unreachable pairs.
+    distances: Vec<u32>,
+}
+
+impl Tables {
+    fn build(num_qubits: u32, edges: &[(u32, u32)]) -> Tables {
+        let n = num_qubits as usize;
+        let mut offsets = vec![0usize; n + 1];
+        for &(a, b) in edges {
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
+        }
+        for q in 0..n {
+            offsets[q + 1] += offsets[q];
+        }
+        let mut fill = offsets.clone();
+        let mut neighbors = vec![0u32; offsets[n]];
+        for &(a, b) in edges {
+            neighbors[fill[a as usize]] = b;
+            fill[a as usize] += 1;
+            neighbors[fill[b as usize]] = a;
+            fill[b as usize] += 1;
+        }
+        let mut distances = vec![u32::MAX; n * n];
+        let mut queue = VecDeque::with_capacity(n);
+        for (start, row) in distances.chunks_exact_mut(n.max(1)).enumerate() {
+            row[start] = 0;
+            queue.push_back(start);
+            while let Some(u) = queue.pop_front() {
+                let du = row[u];
+                for &v in &neighbors[offsets[u]..offsets[u + 1]] {
+                    let v = v as usize;
+                    if row[v] == u32::MAX {
+                        row[v] = du + 1;
+                        queue.push_back(v);
+                    }
+                }
+            }
+        }
+        Tables { offsets, neighbors, distances }
+    }
+}
+
+impl PartialEq for CouplingMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_qubits == other.num_qubits && self.edges == other.edges
+    }
+}
+
+impl Eq for CouplingMap {}
+
+impl fmt::Debug for CouplingMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CouplingMap")
+            .field("num_qubits", &self.num_qubits)
+            .field("edges", &self.edges)
+            .finish()
+    }
 }
 
 impl CouplingMap {
@@ -28,7 +104,7 @@ impl CouplingMap {
             .collect();
         canon.sort_unstable();
         canon.dedup();
-        CouplingMap { num_qubits, edges: canon }
+        CouplingMap { num_qubits, edges: canon, tables: OnceLock::new() }
     }
 
     /// A 1-D chain of `n` qubits.
@@ -155,17 +231,17 @@ impl CouplingMap {
         self.edges.binary_search(&key).is_ok()
     }
 
-    /// Direct neighbours of qubit `q`.
-    pub fn neighbors(&self, q: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        for &(a, b) in &self.edges {
-            if a == q {
-                out.push(b);
-            } else if b == q {
-                out.push(a);
-            }
-        }
-        out
+    fn tables(&self) -> &Tables {
+        self.tables.get_or_init(|| Box::new(Tables::build(self.num_qubits, &self.edges)))
+    }
+
+    /// Direct neighbours of qubit `q`, in edge-list order.
+    ///
+    /// # Panics
+    /// Panics if `q` is not a qubit of the map.
+    pub fn neighbors(&self, q: u32) -> &[u32] {
+        let t = self.tables();
+        &t.neighbors[t.offsets[q as usize]..t.offsets[q as usize + 1]]
     }
 
     /// Degree of qubit `q`.
@@ -173,36 +249,18 @@ impl CouplingMap {
         self.neighbors(q).len()
     }
 
-    /// All-pairs shortest-path distance matrix computed with BFS from every
-    /// qubit. `u32::MAX` marks unreachable pairs.
-    pub fn distance_matrix(&self) -> Vec<Vec<u32>> {
+    /// Hop distances from qubit `q` to every qubit (shortest paths by BFS;
+    /// the map is undirected, so this is also every qubit's distance to `q`).
+    /// `u32::MAX` marks unreachable qubits.
+    pub fn distances_from(&self, q: u32) -> &[u32] {
         let n = self.num_qubits as usize;
-        let mut adj = vec![Vec::new(); n];
-        for &(a, b) in &self.edges {
-            adj[a as usize].push(b as usize);
-            adj[b as usize].push(a as usize);
-        }
-        let mut dist = vec![vec![u32::MAX; n]; n];
-        for (start, row) in dist.iter_mut().enumerate() {
-            row[start] = 0;
-            let mut queue = VecDeque::new();
-            queue.push_back(start);
-            while let Some(u) = queue.pop_front() {
-                let du = row[u];
-                for &v in &adj[u] {
-                    if row[v] == u32::MAX {
-                        row[v] = du + 1;
-                        queue.push_back(v);
-                    }
-                }
-            }
-        }
-        dist
+        let start = q as usize * n;
+        &self.tables().distances[start..start + n]
     }
 
     /// Shortest-path distance between two qubits (`None` if disconnected).
     pub fn distance(&self, a: u32, b: u32) -> Option<u32> {
-        let d = self.distance_matrix()[a as usize][b as usize];
+        let d = self.distances_from(a)[b as usize];
         if d == u32::MAX {
             None
         } else {
@@ -215,7 +273,7 @@ impl CouplingMap {
         if self.num_qubits <= 1 {
             return true;
         }
-        self.distance_matrix()[0].iter().all(|&d| d != u32::MAX)
+        self.distances_from(0).iter().all(|&d| d != u32::MAX)
     }
 }
 
@@ -306,5 +364,51 @@ mod tests {
         let m = CouplingMap::new(4, vec![(0, 1), (2, 3)]);
         assert!(!m.is_connected());
         assert_eq!(m.distance(0, 3), None);
+    }
+
+    #[test]
+    fn neighbors_keep_edge_list_order() {
+        for m in [CouplingMap::heavy_hex_27(), CouplingMap::grid(3, 4), CouplingMap::full(6)] {
+            for q in 0..m.num_qubits() {
+                let scan: Vec<u32> = m
+                    .edges()
+                    .iter()
+                    .filter_map(|&(a, b)| {
+                        if a == q {
+                            Some(b)
+                        } else if b == q {
+                            Some(a)
+                        } else {
+                            None
+                        }
+                    })
+                    .collect();
+                assert_eq!(m.neighbors(q), scan.as_slice());
+                assert_eq!(m.degree(q), scan.len());
+            }
+        }
+    }
+
+    #[test]
+    fn distance_rows_are_symmetric_hop_counts() {
+        let m = CouplingMap::heavy_hex_27();
+        for a in 0..27 {
+            let row = m.distances_from(a);
+            assert_eq!(row[a as usize], 0);
+            for b in 0..27 {
+                assert_eq!(row[b as usize], m.distances_from(b)[a as usize]);
+                assert_eq!(row[b as usize] == 1, m.are_coupled(a, b));
+            }
+        }
+    }
+
+    #[test]
+    fn equality_and_debug_ignore_the_cached_tables() {
+        let warm = CouplingMap::heavy_hex_16();
+        assert!(warm.is_connected());
+        let cold = CouplingMap::heavy_hex_16();
+        assert_eq!(warm, cold);
+        assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
+        assert_eq!(warm.clone().distance(0, 15), cold.distance(0, 15));
     }
 }

@@ -3,6 +3,7 @@
 //! a few auxiliary counts used by the numerical baseline estimator.
 
 use crate::circuit::Circuit;
+use crate::gate::{Gate, NO_OPERAND};
 use serde::{Deserialize, Serialize};
 
 /// Structural metrics of a circuit.
@@ -25,16 +26,52 @@ pub struct CircuitMetrics {
 }
 
 impl CircuitMetrics {
-    /// Compute metrics from a circuit.
+    /// Compute metrics from a circuit in one pass: the width of
+    /// [`Circuit::active_qubits`], the depth of [`Circuit::depth`], the counts
+    /// of [`Circuit::gate_counts`] and [`Circuit::num_measurements`].
     pub fn of(circuit: &Circuit) -> Self {
-        let (one, two) = circuit.gate_counts();
+        let n = circuit.num_qubits() as usize;
+        let mut used = vec![false; n];
+        let mut level = vec![0usize; n];
+        let (mut depth, mut one, mut two, mut measurements) = (0, 0, 0, 0);
+        for i in circuit.instructions() {
+            if i.gate == Gate::Barrier {
+                let m = level.iter().copied().max().unwrap_or(0);
+                level.fill(m);
+                continue;
+            }
+            let q0 = i.q0 as usize;
+            used[q0] = true;
+            if i.q1 != NO_OPERAND {
+                used[i.q1 as usize] = true;
+            }
+            if i.gate == Gate::Measure {
+                measurements += 1;
+            }
+            if i.gate.is_unitary() {
+                if i.gate.is_two_qubit() {
+                    two += 1;
+                } else {
+                    one += 1;
+                }
+            }
+            if !i.gate.is_virtual() {
+                let mut d = level[q0] + 1;
+                if i.q1 != NO_OPERAND {
+                    d = d.max(level[i.q1 as usize] + 1);
+                    level[i.q1 as usize] = d;
+                }
+                level[q0] = d;
+                depth = depth.max(d);
+            }
+        }
         CircuitMetrics {
-            width: circuit.active_qubits().len() as u32,
+            width: used.iter().filter(|&&u| u).count() as u32,
             register_size: circuit.num_qubits(),
-            depth: circuit.depth(),
+            depth,
             one_qubit_gates: one,
             two_qubit_gates: two,
-            measurements: circuit.num_measurements(),
+            measurements,
             shots: circuit.shots(),
         }
     }
@@ -119,5 +156,19 @@ mod tests {
         assert_eq!(m.total_gates(), 0);
         assert_eq!(m.two_qubit_ratio(), 0.0);
         assert_eq!(m.depth, 0);
+    }
+
+    #[test]
+    fn one_pass_metrics_match_the_circuit_queries() {
+        let mut c = Circuit::new(6);
+        c.set_shots(2000);
+        c.h(0).rz(0.3, 1).cx(0, 2).barrier().x(4).cx(2, 4).measure(2, 2).measure(4, 4);
+        let m = CircuitMetrics::of(&c);
+        let (one, two) = c.gate_counts();
+        assert_eq!(m.width, c.active_qubits().len() as u32);
+        assert_eq!(m.depth, c.depth());
+        assert_eq!((m.one_qubit_gates, m.two_qubit_gates), (one, two));
+        assert_eq!(m.measurements, c.num_measurements());
+        assert_eq!((m.register_size, m.shots), (6, 2000));
     }
 }

@@ -92,13 +92,29 @@ pub fn cut_at(circuit: &Circuit, boundary: u32) -> CutResult {
         }
     }
 
-    // Overheads: each cut CX has a one-norm of 3, so the sampling overhead of the
-    // decomposition is 9 per cut; the number of subcircuit variants grows as 4^cuts
-    // but is capped (practical implementations batch the variants).
-    let effective_cuts = num_cuts.min(8) as u32;
-    let sampling_overhead = 9f64.powi(effective_cuts as i32);
-    let subcircuit_variants = 2 * 4usize.pow(effective_cuts.min(6));
+    let (sampling_overhead, subcircuit_variants) = overheads(num_cuts);
     CutResult { fragments: vec![frag0, frag1], num_cuts, sampling_overhead, subcircuit_variants }
+}
+
+/// `(sampling overhead, subcircuit variants)` of `num_cuts` cut gates. Each
+/// cut CX has a one-norm of 3, so the sampling overhead of the decomposition
+/// is 9 per cut; the number of subcircuit variants grows as 4^cuts but is
+/// capped (practical implementations batch the variants).
+fn overheads(num_cuts: usize) -> (f64, usize) {
+    let effective_cuts = num_cuts.min(8) as u32;
+    (9f64.powi(effective_cuts as i32), 2 * 4usize.pow(effective_cuts.min(6)))
+}
+
+/// Number of two-qubit gates of `circuit` that cross the qubit boundary
+/// `boundary` (the cuts [`cut_at`] makes, without building the fragments).
+fn count_cuts(circuit: &Circuit, boundary: u32) -> usize {
+    circuit
+        .instructions()
+        .iter()
+        .filter(|i| {
+            i.gate != Gate::Barrier && i.q1 != NO_OPERAND && (i.q0 < boundary) != (i.q1 < boundary)
+        })
+        .count()
 }
 
 /// Cut a circuit in half (the Figure 2(a) setting).
@@ -112,9 +128,14 @@ pub fn cut_in_half(circuit: &Circuit) -> CutResult {
 pub fn reconstruction_cost(result: &CutResult, shots: u32) -> ReconstructionCost {
     let w0 = result.fragments.first().map(|f| f.num_qubits()).unwrap_or(1);
     let w1 = result.fragments.get(1).map(|f| f.num_qubits()).unwrap_or(1);
+    contraction_cost(w0, w1, result.num_cuts, shots)
+}
+
+/// [`reconstruction_cost`] of fragments `w0` and `w1` qubits wide.
+fn contraction_cost(w0: u32, w1: u32, num_cuts: usize, shots: u32) -> ReconstructionCost {
     let hist0 = (2f64.powi(w0 as i32)).min(f64::from(shots));
     let hist1 = (2f64.powi(w1 as i32)).min(f64::from(shots));
-    let terms = 4f64.powi(result.num_cuts.min(8) as i32);
+    let terms = 4f64.powi(num_cuts.min(8) as i32);
     let flops = terms * (hist0 * hist1);
     // 1 GFLOP/s effective CPU throughput for the combination kernel, 40 GFLOP/s on GPU.
     ReconstructionCost { flops, cpu_time_s: flops / 1e9, gpu_time_s: flops / 4e10 }
@@ -130,11 +151,15 @@ pub fn cost(circuit: &Circuit) -> MitigationCost {
     if circuit.num_qubits() < 4 {
         return MitigationCost::identity();
     }
-    let cut = cut_in_half(circuit);
-    let recon = reconstruction_cost(&cut, circuit.shots());
+    // The cut of `cut_in_half`, counted without building the fragments.
+    let boundary = circuit.num_qubits() / 2;
+    let num_cuts = count_cuts(circuit, boundary);
+    let (_, subcircuit_variants) = overheads(num_cuts);
+    let recon =
+        contraction_cost(boundary, circuit.num_qubits() - boundary, num_cuts, circuit.shots());
     MitigationCost {
-        circuit_multiplicity: cut.subcircuit_variants,
-        quantum_time_factor: (cut.subcircuit_variants as f64).clamp(1.0, 24.0),
+        circuit_multiplicity: subcircuit_variants,
+        quantum_time_factor: (subcircuit_variants as f64).clamp(1.0, 24.0),
         classical_time_cpu_s: recon.cpu_time_s.max(0.05),
         accelerator_speedup: (recon.cpu_time_s / recon.gpu_time_s.max(1e-9)).max(1.0),
         error_reduction_factor: 0.30,
@@ -220,5 +245,22 @@ mod tests {
     #[should_panic]
     fn cut_at_invalid_boundary_panics() {
         cut_at(&ghz(4), 0);
+    }
+
+    #[test]
+    fn cost_counts_the_cuts_of_cut_in_half() {
+        let mut wide = Circuit::new(9);
+        wide.h(0).cx(0, 8).cx(3, 4).barrier().cx(5, 1).cx(6, 7).measure_all();
+        for c in [ghz(8), ghz(5), wide] {
+            let cut = cut_in_half(&c);
+            let recon = reconstruction_cost(&cut, c.shots());
+            let cost = cost(&c);
+            assert_eq!(cost.circuit_multiplicity, cut.subcircuit_variants);
+            assert_eq!(cost.classical_time_cpu_s, recon.cpu_time_s.max(0.05));
+            assert_eq!(
+                cost.accelerator_speedup,
+                (recon.cpu_time_s / recon.gpu_time_s.max(1e-9)).max(1.0)
+            );
+        }
     }
 }

@@ -65,13 +65,15 @@ impl BasisSet {
 pub fn translate(circuit: &Circuit, basis: BasisSet) -> Circuit {
     let mut out = Circuit::named(circuit.num_qubits(), circuit.name().to_string());
     out.set_shots(circuit.shots());
+    out.instructions_mut().reserve(circuit.len());
     for instr in circuit.instructions() {
         translate_instruction(&mut out, instr, basis);
     }
     out
 }
 
-fn translate_instruction(out: &mut Circuit, instr: &Instruction, basis: BasisSet) {
+/// Append the translation of one instruction into `basis` to `out`.
+pub(crate) fn translate_instruction(out: &mut Circuit, instr: &Instruction, basis: BasisSet) {
     let gate = instr.gate;
     if basis.is_native(gate) {
         out.push(*instr);
@@ -115,9 +117,9 @@ fn as_rz(gate: Gate) -> Option<f64> {
 
 fn push_rz(out: &mut Circuit, theta: f64, q: u32) {
     // Skip numerically irrelevant rotations to keep translated circuits tight.
-    if theta.rem_euclid(2.0 * PI).abs() > 1e-12
-        && (theta.rem_euclid(2.0 * PI) - 2.0 * PI).abs() > 1e-12
-    {
+    // `rem_euclid` is the identity on [0, 2π); skip its `fmod` there.
+    let wrapped = if (0.0..2.0 * PI).contains(&theta) { theta } else { theta.rem_euclid(2.0 * PI) };
+    if wrapped.abs() > 1e-12 && (wrapped - 2.0 * PI).abs() > 1e-12 {
         out.rz(theta, q);
     }
 }

@@ -49,19 +49,6 @@ impl Layout {
     pub fn is_empty(&self) -> bool {
         self.mapping.is_empty()
     }
-
-    /// Swap the physical assignments of two *physical* qubits (used when the
-    /// router inserts a SWAP gate). Logical qubits not currently mapped to
-    /// either physical qubit are unaffected.
-    pub fn swap_physical(&mut self, phys_a: u32, phys_b: u32) {
-        for p in &mut self.mapping {
-            if *p == phys_a {
-                *p = phys_b;
-            } else if *p == phys_b {
-                *p = phys_a;
-            }
-        }
-    }
 }
 
 /// Layout selection policy.
@@ -132,12 +119,15 @@ fn noise_aware_layout(
         .unwrap_or((0, 1.min(coupling.num_qubits() - 1)));
 
     let mut selected: Vec<u32> = vec![seed.0, seed.1];
+    let mut is_selected = vec![false; coupling.num_qubits() as usize];
+    is_selected[seed.0 as usize] = true;
+    is_selected[seed.1 as usize] = true;
     while (selected.len() as u32) < num_logical {
         // Frontier: neighbours of the selected region not yet selected.
         let mut best: Option<(u32, f64)> = None;
         for &s in &selected {
-            for nb in coupling.neighbors(s) {
-                if selected.contains(&nb) {
+            for &nb in coupling.neighbors(s) {
+                if is_selected[nb as usize] {
                     continue;
                 }
                 let cost = edge_cost(calibration, s, nb) + qubit_cost(calibration, nb);
@@ -146,17 +136,16 @@ fn noise_aware_layout(
                 }
             }
         }
-        match best {
-            Some((nb, _)) => selected.push(nb),
-            None => {
-                // Disconnected remainder: fall back to any unselected qubit.
-                let next = (0..coupling.num_qubits()).find(|q| !selected.contains(q));
-                match next {
-                    Some(q) => selected.push(q),
-                    None => break,
-                }
-            }
-        }
+        // Disconnected remainder: fall back to any unselected qubit.
+        let next = match best {
+            Some((nb, _)) => nb,
+            None => match is_selected.iter().position(|&s| !s) {
+                Some(q) => q as u32,
+                None => break,
+            },
+        };
+        selected.push(next);
+        is_selected[next as usize] = true;
     }
     selected.truncate(num_logical as usize);
     Layout::new(selected)
@@ -225,15 +214,6 @@ mod tests {
                 .any(|(j, &other)| j != i && coupling.are_coupled(q, other));
             assert!(connected, "qubit {q} is isolated in the layout");
         }
-    }
-
-    #[test]
-    fn swap_physical_updates_mapping() {
-        let mut l = Layout::new(vec![3, 7, 9]);
-        l.swap_physical(7, 12);
-        assert_eq!(l.mapping(), &[3, 12, 9]);
-        l.swap_physical(3, 9);
-        assert_eq!(l.mapping(), &[9, 12, 3]);
     }
 
     #[test]

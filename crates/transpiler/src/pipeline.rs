@@ -1,13 +1,13 @@
-//! End-to-end transpilation pipeline: basis translation → layout → routing →
-//! re-translation of inserted SWAPs → metrics (Figure 1's compilation step and
-//! the "QPU transpilation" stage of the resource estimator, §6(b)).
+//! End-to-end transpilation pipeline: basis translation → layout → routing
+//! (inserted SWAPs written in the device basis) → metrics and makespan
+//! (Figure 1's compilation step and the "QPU transpilation" stage of the
+//! resource estimator, §6(b)).
 
-use crate::basis::{translate, BasisSet};
+use crate::basis::{translate, translate_instruction, BasisSet};
 use crate::layout::{select_layout, Layout, LayoutPolicy};
-use crate::routing::route;
-use crate::scheduling::{asap_schedule, Schedule};
+use crate::routing::route_with;
 use qonductor_backend::{NoiseModel, Qpu, QpuModel, TemplateQpu};
-use qonductor_circuit::{Circuit, CircuitMetrics};
+use qonductor_circuit::{Circuit, CircuitMetrics, Gate, Instruction};
 use serde::{Deserialize, Serialize};
 
 /// Transpiler configuration.
@@ -36,20 +36,22 @@ pub struct TranspiledCircuit {
     pub swaps_inserted: usize,
     /// Structural metrics of the final circuit (the estimator's features).
     pub metrics: CircuitMetrics,
-    /// ASAP schedule of the final circuit on the device.
-    pub schedule: Schedule,
+    /// One-shot makespan of the final circuit on the device in nanoseconds
+    /// (the critical path of [`NoiseModel::circuit_duration_ns`]; the per-op
+    /// schedule is [`crate::asap_schedule`]).
+    pub duration_ns: f64,
 }
 
 impl TranspiledCircuit {
     /// One-shot execution duration in seconds.
     pub fn duration_s(&self) -> f64 {
-        self.schedule.total_duration_ns / 1e9
+        self.duration_ns / 1e9
     }
 
     /// Total quantum execution time in seconds for all shots (plus a per-shot
     /// reset/readout turnaround of 1 µs, matching the backend simulator).
     pub fn total_execution_s(&self) -> f64 {
-        (self.schedule.total_duration_ns + 1_000.0) * f64::from(self.circuit.shots()) / 1e9
+        (self.duration_ns + 1_000.0) * f64::from(self.circuit.shots()) / 1e9
     }
 }
 
@@ -91,24 +93,23 @@ impl Transpiler {
             noise.calibration(),
             self.options.layout_policy,
         );
-        // 3. Route (inserts SWAPs where connectivity requires it).
-        let routed = route(&translated, &model.coupling_map, &initial_layout);
-        // 4. Inserted SWAPs are not native — translate once more.
-        let final_circuit = if routed.swaps_inserted > 0 {
-            translate(&routed.circuit, basis)
-        } else {
-            routed.circuit
-        };
-        // 5. Metrics and schedule.
+        // 3. Route (inserts SWAPs where connectivity requires it). SWAPs are
+        //    not native, so they are written out in the basis as they are
+        //    inserted.
+        let routed = route_with(&translated, &model.coupling_map, &initial_layout, |out, a, b| {
+            translate_instruction(out, &Instruction::two(Gate::Swap, a, b), basis)
+        });
+        let final_circuit = routed.circuit;
+        // 4. Metrics and makespan.
         let metrics = CircuitMetrics::of(&final_circuit);
-        let schedule = asap_schedule(&final_circuit, noise);
+        let duration_ns = noise.circuit_duration_ns(&final_circuit);
         TranspiledCircuit {
             circuit: final_circuit,
             initial_layout,
             final_layout: routed.final_layout,
             swaps_inserted: routed.swaps_inserted,
             metrics,
-            schedule,
+            duration_ns,
         }
     }
 
@@ -153,7 +154,7 @@ mod tests {
             }
         }
         assert!(t.metrics.two_qubit_gates >= 9);
-        assert!(t.schedule.total_duration_ns > 0.0);
+        assert!(t.duration_ns > 0.0);
         assert!(t.duration_s() > 0.0);
     }
 
@@ -214,5 +215,16 @@ mod tests {
         let t = Transpiler::new(TranspilerOptions { layout_policy: LayoutPolicy::Trivial })
             .transpile_for_qpu(&ghz(4), &qpu);
         assert_eq!(t.initial_layout.mapping(), &[0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn makespan_is_the_asap_schedule_makespan() {
+        let qpu = qpu27();
+        let noise = qpu.noise_model();
+        for c in [ghz(8), qft(6)] {
+            let t = Transpiler::default().transpile_for_qpu(&c, &qpu);
+            let schedule = crate::asap_schedule(&t.circuit, &noise);
+            assert_eq!(t.duration_ns.to_bits(), schedule.total_duration_ns.to_bits());
+        }
     }
 }

@@ -22,21 +22,42 @@ pub struct RoutedCircuit {
     pub swaps_inserted: usize,
 }
 
+/// Marks a physical qubit that holds no logical qubit.
+const UNMAPPED: u32 = u32::MAX;
+
 /// Route `circuit` onto `coupling` starting from `initial_layout`.
 ///
 /// The input circuit is expressed over logical qubits; the output circuit is
 /// expressed over physical qubits of the device (width = device size).
 pub fn route(circuit: &Circuit, coupling: &CouplingMap, initial_layout: &Layout) -> RoutedCircuit {
+    route_with(circuit, coupling, initial_layout, |out, a, b| {
+        out.swap(a, b);
+    })
+}
+
+/// [`route`], with every inserted SWAP on physical qubits `(a, b)` written by
+/// `emit_swap(out, a, b)` (the pipeline emits it in the device basis).
+pub(crate) fn route_with(
+    circuit: &Circuit,
+    coupling: &CouplingMap,
+    initial_layout: &Layout,
+    mut emit_swap: impl FnMut(&mut Circuit, u32, u32),
+) -> RoutedCircuit {
     assert!(
         initial_layout.len() >= circuit.num_qubits() as usize,
         "layout covers {} qubits but the circuit has {}",
         initial_layout.len(),
         circuit.num_qubits()
     );
-    let dist = coupling.distance_matrix();
-    let mut layout = initial_layout.clone();
+    // The running layout in both directions, so a SWAP updates it in O(1).
+    let mut physical: Vec<u32> = initial_layout.mapping().to_vec();
+    let mut logical = vec![UNMAPPED; coupling.num_qubits() as usize];
+    for (l, &p) in physical.iter().enumerate() {
+        logical[p as usize] = l as u32;
+    }
     let mut out = Circuit::named(coupling.num_qubits(), circuit.name().to_string());
     out.set_shots(circuit.shots());
+    out.instructions_mut().reserve(circuit.len());
     let mut swaps = 0usize;
 
     for instr in circuit.instructions() {
@@ -45,31 +66,34 @@ pub fn route(circuit: &Circuit, coupling: &CouplingMap, initial_layout: &Layout)
                 out.barrier();
             }
             g if g.is_two_qubit() => {
-                let mut pa = layout.physical(instr.q0);
-                let pb = layout.physical(instr.q1);
-                if !coupling.are_coupled(pa, pb) {
-                    // Walk qubit A along a shortest path toward B until adjacent.
-                    let path = shortest_path(coupling, &dist, pa, pb);
-                    // path = [pa, x1, x2, ..., pb]; swap pa forward until adjacent to pb.
-                    for window in path.windows(2) {
-                        let (from, to) = (window[0], window[1]);
-                        if coupling.are_coupled(layout_position(&layout, instr.q0), pb) {
-                            break;
-                        }
-                        out.swap(from, to);
-                        layout.swap_physical(from, to);
-                        swaps += 1;
-                        pa = layout.physical(instr.q0);
-                        if coupling.are_coupled(pa, pb) {
-                            break;
-                        }
+                let mut pa = physical[instr.q0 as usize];
+                let pb = physical[instr.q1 as usize];
+                let to_b = coupling.distances_from(pb);
+                // Walk qubit A along a shortest path toward B until adjacent,
+                // stepping to the first neighbour (in edge order) nearest B.
+                while to_b[pa as usize] != 1 {
+                    let next = *coupling
+                        .neighbors(pa)
+                        .iter()
+                        .min_by_key(|&&nb| to_b[nb as usize])
+                        .expect("coupling map must be connected for routing");
+                    // Guard against disconnected maps (would loop forever).
+                    assert!(
+                        to_b[next as usize] < to_b[pa as usize],
+                        "no path from {pa} to {pb} on this coupling map"
+                    );
+                    emit_swap(&mut out, pa, next);
+                    let (la, lb) = (logical[pa as usize], logical[next as usize]);
+                    logical.swap(pa as usize, next as usize);
+                    if la != UNMAPPED {
+                        physical[la as usize] = next;
                     }
-                    pa = layout.physical(instr.q0);
+                    if lb != UNMAPPED {
+                        physical[lb as usize] = pa;
+                    }
+                    swaps += 1;
+                    pa = next;
                 }
-                debug_assert!(
-                    coupling.are_coupled(pa, pb),
-                    "routing failed to make ({pa},{pb}) adjacent"
-                );
                 let mut ni = *instr;
                 ni.q0 = pa;
                 ni.q1 = pb;
@@ -77,7 +101,7 @@ pub fn route(circuit: &Circuit, coupling: &CouplingMap, initial_layout: &Layout)
             }
             _ => {
                 let mut ni = *instr;
-                ni.q0 = layout.physical(instr.q0);
+                ni.q0 = physical[instr.q0 as usize];
                 if ni.gate == Gate::Measure {
                     // Classical bit index keeps the logical qubit number so results
                     // remain comparable across devices.
@@ -89,33 +113,7 @@ pub fn route(circuit: &Circuit, coupling: &CouplingMap, initial_layout: &Layout)
         }
     }
 
-    RoutedCircuit { circuit: out, final_layout: layout, swaps_inserted: swaps }
-}
-
-fn layout_position(layout: &Layout, logical: u32) -> u32 {
-    layout.physical(logical)
-}
-
-/// Shortest path between two physical qubits using the precomputed distance
-/// matrix (greedy descent on distance-to-target).
-fn shortest_path(coupling: &CouplingMap, dist: &[Vec<u32>], from: u32, to: u32) -> Vec<u32> {
-    let mut path = vec![from];
-    let mut current = from;
-    while current != to {
-        let next = coupling
-            .neighbors(current)
-            .into_iter()
-            .min_by_key(|&nb| dist[nb as usize][to as usize])
-            .expect("coupling map must be connected for routing");
-        // Guard against disconnected maps (would loop forever).
-        assert!(
-            dist[next as usize][to as usize] < dist[current as usize][to as usize],
-            "no path from {from} to {to} on this coupling map"
-        );
-        path.push(next);
-        current = next;
-    }
-    path
+    RoutedCircuit { circuit: out, final_layout: Layout::new(physical), swaps_inserted: swaps }
 }
 
 #[cfg(test)]
@@ -203,5 +201,19 @@ mod tests {
                 assert!(instr.cbit < 4, "cbit must remain a logical index");
             }
         }
+    }
+
+    #[test]
+    fn swaps_through_unmapped_physical_qubits_move_only_the_walker() {
+        // Logical 0 sits on physical 0 and walks through unmapped 1, 2 and 3
+        // toward logical 1 on physical 4.
+        let coupling = CouplingMap::linear(5);
+        let mut c = Circuit::new(2);
+        c.cx(0, 1);
+        let routed = route(&c, &coupling, &Layout::new(vec![0, 4]));
+        assert_eq!(routed.swaps_inserted, 3);
+        assert_eq!(routed.final_layout.mapping(), &[3, 4]);
+        let last = routed.circuit.instructions().last().unwrap();
+        assert_eq!((last.q0, last.q1), (3, 4));
     }
 }
